@@ -38,7 +38,7 @@ from .errors import (
     ZeroGeneratorError,
 )
 from .oracle import check_conditions, oracle_solve
-from .semigroup import NumericalSemigroup, from_generators, intersect, remove_generator
+from .semigroup import NumericalSemigroup, from_generators, remove_generator
 from .tree import (
     DEFAULT_NODE_BUDGET,
     SolutionSet,
@@ -80,7 +80,6 @@ __all__ = [
     "feasible",
     "from_generators",
     "instance_closure",
-    "intersect",
     "is_ab_monoid",
     "one_solution",
     "oracle_solve",

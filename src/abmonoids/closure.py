@@ -35,7 +35,7 @@ from .errors import (
     ResourceLimitError,
     ZeroGeneratorError,
 )
-from .semigroup import NumericalSemigroup, from_generators
+from .semigroup import NumericalSemigroup, add_generator, apery_table, from_apery, from_generators
 
 INT64_MAX = (1 << 63) - 1
 
@@ -117,7 +117,7 @@ class SubmonoidRep:
         """Number of integers >= r + 1 outside the monoid (inf when d > 1)."""
         if self.d > 1:
             return math.inf
-        return sum(1 for g in self.base.gaps if g > r)
+        return self.base.gap_count_above(r)
 
     def first_gaps_within(self, r: int, k: int) -> tuple[int, ...]:
         """The k smallest integers >= r + 1 outside the monoid."""
@@ -182,46 +182,43 @@ def is_ab_monoid(gens, a, b) -> bool:
 def _worklist_closure(a, b, seed, max_generators):
     """Run the worklist pass; gcd(seed + b) must already be 1.
 
-    Returns (generators, provenance, order): provenance maps each
-    generator to None (seed element) or to the pair (m, i) whose affine
-    image produced it, and order lists the processed elements.
+    One Apéry table modulo the smallest seed value, the multiplicity of
+    the result since every affine image is larger, tracks the generated
+    monoid; each new generator is adjoined to it in place.  Returns
+    (semigroup, provenance, order): provenance maps each generator to
+    None (seed element) or to the pair (m, i) whose affine image produced
+    it, and order lists the processed elements.
     """
-    gens = sorted(set(seed))
-    provenance: dict[int, tuple[int, int] | None] = {g: None for g in gens}
+    pending = sorted(set(seed), reverse=True)  # popped smallest first
+    provenance: dict[int, tuple[int, int] | None] = dict.fromkeys(pending)
     order: list[int] = []
-    done: set[int] = set()
-    cached = None  # (generator tuple, gcd, scaled-down semigroup)
+    n1 = pending[-1]
+    # The first step's images are checked before the table is sized, so an
+    # out-of-range seed reports overflow rather than the table cap.
+    for ai, bi in zip(a, b):
+        _affine_value(ai, n1, bi)
+    ap = apery_table(n1)
+    for g in reversed(pending):
+        add_generator(ap, g)
 
-    def in_generated(v: int) -> bool:
-        nonlocal cached
-        key = tuple(gens)
-        if cached is None or cached[0] != key:
-            d = math.gcd(*gens)
-            cached = (key, d, from_generators(g // d for g in gens))
-        _, d, base = cached
-        return v % d == 0 and base.contains(v // d)
-
-    while True:
-        pending = [g for g in gens if g not in done]
-        if not pending:
-            break
-        m = pending[0]
+    while pending:
+        m = pending.pop()
         fresh = []
         for i, (ai, bi) in enumerate(zip(a, b)):
             v = _affine_value(ai, m, bi)
-            if not in_generated(v) and v not in provenance:
+            if v < ap[v % n1]:
+                add_generator(ap, v)
                 provenance[v] = (m, i)
                 fresh.append(v)
         if fresh:
-            gens = sorted(set(gens) | set(fresh))
-            if len(gens) > max_generators:
+            if len(provenance) > max_generators:
                 raise ResourceLimitError(
                     f"closure generator set exceeded {max_generators} elements",
-                    node_count=len(gens),
+                    node_count=len(provenance),
                 )
-        done.add(m)
+            pending = sorted(pending + fresh, reverse=True)
         order.append(m)
-    return tuple(gens), provenance, tuple(order)
+    return from_apery(ap, provenance), provenance, tuple(order)
 
 
 def closure(a, b, x, *, max_generators: int = DEFAULT_MAX_GENERATORS) -> SubmonoidRep:
@@ -242,7 +239,7 @@ def closure(a, b, x, *, max_generators: int = DEFAULT_MAX_GENERATORS) -> Submono
 
     d = math.gcd(*xs, *b)
     bs = tuple(v // d for v in b)
-    gens, provenance, order = _worklist_closure(a, bs, [v // d for v in xs], max_generators)
+    base, provenance, order = _worklist_closure(a, bs, [v // d for v in xs], max_generators)
 
     if __debug__:
         processed = set(order)
@@ -251,7 +248,7 @@ def closure(a, b, x, *, max_generators: int = DEFAULT_MAX_GENERATORS) -> Submono
                 m, i = src
                 assert gen == a[i] * m + bs[i] and m in processed
 
-    return SubmonoidRep(d=d, base=from_generators(gens))
+    return SubmonoidRep(d=d, base=base)
 
 
 def instance_closure(
@@ -286,10 +283,10 @@ def feasible(inst: ProblemInstance, *, max_generators: int = DEFAULT_MAX_GENERAT
 def one_solution(inst: ProblemInstance, *, max_generators: int = DEFAULT_MAX_GENERATORS) -> tuple[int, ...]:
     """A single solution: the g smallest integers >= r + 1 outside the closure."""
     monoid = instance_closure(inst, max_generators=max_generators)
-    if monoid.gap_count_within(inst.r) < inst.g:
+    count = monoid.gap_count_within(inst.r)
+    if count < inst.g:
         raise InfeasibleError(
-            f"instance needs {inst.g} available values >= {inst.r + 1}, "
-            f"only {monoid.gap_count_within(inst.r)} exist"
+            f"instance needs {inst.g} available values >= {inst.r + 1}, only {count} exist"
         )
     solution = monoid.first_gaps_within(inst.r, inst.g)
     if __debug__:

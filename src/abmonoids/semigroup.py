@@ -2,25 +2,33 @@
 
 A numerical semigroup is a subset of the non-negative integers that
 contains 0, is closed under addition, and misses only finitely many
-integers (its *gaps*).  Values are canonicalized on construction:
+integers (its *gaps*).  A value stores:
 
-* ``min_generators`` is the unique minimal generating set, ascending;
-* ``frobenius`` is the largest gap, with the convention -1 when there
-  are no gaps (the semigroup is all of the non-negative integers);
-* ``genus`` is the number of gaps;
-* ``small_elements[i]`` records membership of ``i`` for
-  ``0 <= i <= frobenius + 1``; every larger integer is a member, so
-  membership queries never need more than this table.
+* ``min_generators``, the unique minimal generating set, ascending; its
+  first entry is the multiplicity m, the smallest nonzero member;
+* ``apery``, the Apéry set with respect to m: ``apery[i]`` is the
+  smallest member congruent to ``i`` modulo m, so ``x`` is a member
+  exactly when ``x >= apery[x % m]``;
+* ``frobenius``, the largest gap ``max(apery) - m``, with the convention
+  -1 when there are no gaps (the semigroup is all of the non-negative
+  integers);
+* ``genus``, the number of gaps, by Selmer's formula
+  ``sum(apery) = m * genus + m * (m - 1) / 2``.
 
-Two values are equal exactly when their minimal generating sets are
-equal; the remaining fields are derived data.
+``gaps`` and the membership table ``small_elements`` are built from the
+Apéry set on request.  Two values are equal exactly when their minimal
+generating sets are equal; the remaining fields are derived data.
+
+Apéry sets are built one generator at a time by the round-robin pass of
+Böcker and Lipták (2007), see ``add_generator``; the stored semigroup
+never needs a bound on its Frobenius number.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .errors import (
     EmptyGeneratorsError,
@@ -31,29 +39,43 @@ from .errors import (
     ZeroGeneratorError,
 )
 
-# Hard ceiling on membership tables.  Construction fails loudly instead of
-# allocating unbounded memory when generator magnitudes are adversarial.
-MAX_TABLE_SIZE = 1 << 24
+# Hard ceiling on the length of an Apéry table, which is the multiplicity, so
+# construction fails loudly instead of allocating unbounded memory.  At the cap
+# (CPython 3.11, x86-64) from_generators({2**20 - 1, 2**20}) peaks at 79 MB RSS.
+MAX_TABLE_SIZE = 1 << 20
 
 
 @dataclass(frozen=True, eq=False)
 class NumericalSemigroup:
     min_generators: tuple[int, ...]
+    apery: tuple[int, ...]
     frobenius: int
     genus: int
-    gaps: tuple[int, ...]
-    small_elements: tuple[bool, ...]
 
     def contains(self, x: int) -> bool:
         """Membership test; negative integers are never members."""
-        if x < 0:
-            return False
-        if x > self.frobenius:
-            return True
-        return self.small_elements[x]
+        ap = self.apery
+        return x >= ap[x % len(ap)]  # x % m >= 0 and ap >= 0, so x < 0 fails
 
     def __contains__(self, x: int) -> bool:
         return self.contains(x)
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        """All gaps, ascending: i, i + m, ..., apery[i] - m for each residue i."""
+        m = len(self.apery)
+        return tuple(sorted(v for i, w in enumerate(self.apery) for v in range(i, w, m)))
+
+    @property
+    def small_elements(self) -> tuple[bool, ...]:
+        """Membership of each of 0, 1, ..., frobenius + 1."""
+        return tuple(map(self.contains, range(self.frobenius + 2)))
+
+    def gap_count_above(self, r: int) -> int:
+        """Number of gaps >= r + 1, without listing the gaps i, i + m, ...,
+        apery[i] - m of each residue i; the first >= r + 1 is r + 1 + (i - r - 1) % m."""
+        m = len(self.apery)
+        return sum(max(0, (w - r - 1 - (i - r - 1) % m) // m) for i, w in enumerate(self.apery))
 
     def gaps_within(self, r: int) -> tuple[int, ...]:
         """Ascending gaps that are >= r + 1.
@@ -80,54 +102,62 @@ class NumericalSemigroup:
         return "<" + ",".join(map(str, self.min_generators)) + ">"
 
 
-def _canonicalize(member: Sequence) -> NumericalSemigroup:
-    """Build the canonical value from a membership table.
+def apery_table(m: int) -> list:
+    """The Apéry table of the monoid {0} modulo ``m``: unreached residues hold inf."""
+    if m > MAX_TABLE_SIZE:
+        raise ResourceLimitError(
+            f"Apéry table would exceed {MAX_TABLE_SIZE} entries for multiplicity {m}"
+        )
+    ap = [math.inf] * m
+    ap[0] = 0
+    return ap
 
-    ``member[i]`` must give membership of ``i`` for every index of the
-    table, and every integer >= len(member) must belong to the semigroup.
+
+def add_generator(ap: list, g: int) -> None:
+    """Adjoin the generator ``g`` to the Apéry table ``ap`` in place.
+
+    ``ap[i]`` is the smallest member congruent to ``i`` modulo len(ap),
+    or inf when no member is.  Adding g links the residues into gcd(g, m)
+    cycles i -> i + g; each cycle is walked once from its smallest entry,
+    which no predecessor on the cycle can lower, relaxing every entry
+    against its predecessor plus g (Böcker & Lipták 2007).
     """
-    size = len(member)
-    gaps = tuple(i for i in range(size) if not member[i])
-    frobenius = gaps[-1] if gaps else -1
-    small = tuple(bool(member[i]) if i < size else True for i in range(frobenius + 2))
+    m = len(ap)
+    if g >= ap[g % m]:
+        return  # already a member
+    d = math.gcd(g, m)
+    for r in range(d):
+        n = min(ap[r::d])
+        if n == math.inf:
+            continue  # no member in this cycle yet, and g cannot reach it
+        for _ in range(m // d - 1):
+            n += g
+            p = n % m
+            if ap[p] < n:
+                n = ap[p]
+            else:
+                ap[p] = n
 
-    def is_member(v: int) -> bool:
-        return v > frobenius or small[v]
 
-    multiplicity = 1
-    while not is_member(multiplicity):
-        multiplicity += 1
+def from_apery(ap: list, candidates: Iterable[int]) -> NumericalSemigroup:
+    """The semigroup whose complete Apéry table modulo its multiplicity is ``ap``.
 
-    # Minimal generators are members not expressible as a sum of two nonzero
-    # members; anything above frobenius + multiplicity splits off the
-    # multiplicity, so the scan below is exhaustive.
-    top = max(frobenius + multiplicity, multiplicity)
-    min_gens = []
-    for v in range(1, top + 1):
-        if not is_member(v):
-            continue
-        if any(is_member(u) and is_member(v - u) for u in range(multiplicity, v - multiplicity + 1)):
-            continue
-        min_gens.append(v)
-
+    ``candidates`` must be members and contain every minimal generator.  In
+    ascending order, a candidate c is one exactly when no smaller minimal
+    generator n leaves c - n a member: a sum c = s + t of nonzero members
+    has some minimal generator n <= s with s - n, hence c - n, a member.
+    """
+    m = len(ap)
+    min_gens: list[int] = []
+    for c in sorted(set(candidates)):
+        if not any(c - n >= ap[(c - n) % m] for n in min_gens):
+            min_gens.append(c)
     return NumericalSemigroup(
         min_generators=tuple(min_gens),
-        frobenius=frobenius,
-        genus=len(gaps),
-        gaps=gaps,
-        small_elements=small,
+        apery=tuple(ap),
+        frobenius=max(ap) - m,
+        genus=(sum(ap) - m * (m - 1) // 2) // m,
     )
-
-
-def _reachable_table(gen_list: list[int], bound: int) -> bytearray:
-    """table[v] = 1 iff v < bound is a non-negative integer combination."""
-    table = bytearray(bound)
-    table[0] = 1
-    for g in gen_list:
-        for v in range(g, bound):
-            if table[v - g]:
-                table[v] = 1
-    return table
 
 
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
@@ -145,26 +175,10 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     d = math.gcd(*gen_list)
     if d != 1:
         raise NonCoprimeError(f"gcd of generators is {d}, expected 1")
-    if gen_list[0] == 1:
-        return _canonicalize((True,))
-
-    multiplicity = gen_list[0]
-    # Start near the two-generator Frobenius bound and grow until the table
-    # ends with `multiplicity` consecutive members, which certifies that every
-    # larger integer is a member as well.
-    bound = multiplicity * gen_list[-1] + 2
-    while True:
-        if bound > MAX_TABLE_SIZE:
-            raise ResourceLimitError(
-                f"membership table would exceed {MAX_TABLE_SIZE} entries for generators {gen_list}"
-            )
-        table = _reachable_table(gen_list, bound)
-        last_gap = bound - 1
-        while last_gap >= 0 and table[last_gap]:
-            last_gap -= 1
-        if bound - 1 - last_gap >= multiplicity:
-            return _canonicalize(table[: last_gap + 2])
-        bound *= 2
+    ap = apery_table(gen_list[0])
+    for g in gen_list[1:]:
+        add_generator(ap, g)
+    return from_apery(ap, gen_list)
 
 
 def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
@@ -177,7 +191,8 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     and shifts the whole ray; otherwise either the remaining generators
     still generate, or ``m + multiplicity`` becomes the one new minimal
     generator, depending on whether some smaller generator ``n_j`` has
-    ``m + multiplicity - n_j`` in ``s``.
+    ``m + multiplicity - n_j`` in ``s``.  The Apéry element of m's residue
+    moves from m to m + multiplicity, the smallest member left there.
     """
     gens = s.min_generators
     if m not in gens:
@@ -189,26 +204,14 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     if m == n1:
         # m > frobenius forces s == {0, m, ->}; dropping m leaves {0, m+1, ->}.
         new_gens = tuple(range(m + 1, 2 * m + 2))
+        apery = (0,) + tuple(range(m + 2, 2 * m + 2))
     else:
         i = gens.index(m)
-        if any(s.contains(m + n1 - gens[j]) for j in range(1, i)):
-            new_gens = tuple(g for g in gens if g != m)
-        else:
-            new_gens = tuple(sorted(set(g for g in gens if g != m) | {m + n1}))
-
-    table = list(s.small_elements) + [True] * (m + 2 - len(s.small_elements))
-    table[m] = False
-    return NumericalSemigroup(
-        min_generators=new_gens,
-        frobenius=m,
-        genus=s.genus + 1,
-        gaps=s.gaps + (m,),
-        small_elements=tuple(table),
-    )
-
-
-def intersect(s: NumericalSemigroup, t: NumericalSemigroup) -> NumericalSemigroup:
-    """Canonical value of the intersection (again a numerical semigroup)."""
-    limit = max(s.frobenius, t.frobenius, -1) + 1
-    table = [s.contains(i) and t.contains(i) for i in range(limit + 1)]
-    return _canonicalize(table)
+        new_gens = gens[:i] + gens[i + 1:]
+        if not any(s.contains(m + n1 - gens[j]) for j in range(1, i)):
+            # appending keeps the order: each generator g has g - n1 <= frobenius < m
+            new_gens += (m + n1,)
+        ap = list(s.apery)
+        ap[m % n1] = m + n1
+        apery = tuple(ap)
+    return NumericalSemigroup(min_generators=new_gens, apery=apery, frobenius=m, genus=s.genus + 1)

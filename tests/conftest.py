@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from abmonoids import ProblemInstance, is_ab_monoid
+from abmonoids import ProblemInstance, from_generators, is_ab_monoid
 from abmonoids.semigroup import NumericalSemigroup
 
 
@@ -29,6 +29,26 @@ def saturated_members(gens, limit: int) -> set[int]:
     return members
 
 
+def smallest_by_residue(members, m: int) -> tuple:
+    """For each residue i modulo m, the smallest of ``members`` congruent to i
+    (None when there is none): the Apéry set of a saturated member list."""
+    out = [None] * m
+    for v in sorted(members, reverse=True):
+        out[v % m] = v
+    return tuple(out)
+
+
+def intersect(s: NumericalSemigroup, t: NumericalSemigroup) -> NumericalSemigroup:
+    """The intersection of two numerical semigroups, from pointwise membership.
+
+    Its Frobenius number F is the larger of the two, and every minimal
+    generator is at most F + multiplicity <= 2F + 1, so the common members
+    up to 2F + 2 generate it.
+    """
+    hi = 2 * max(s.frobenius, t.frobenius, 0) + 2
+    return from_generators(v for v in range(1, hi + 1) if s.contains(v) and t.contains(v))
+
+
 def recomputed_min_generators(s: NumericalSemigroup) -> tuple[int, ...]:
     """Minimal generators recomputed from the membership table alone.
 
@@ -44,7 +64,8 @@ def recomputed_min_generators(s: NumericalSemigroup) -> tuple[int, ...]:
 
 
 def assert_semigroup_consistent(s: NumericalSemigroup) -> None:
-    """Field-level consistency: gaps/genus/frobenius/table/msg all agree."""
+    """Field-level consistency: gaps/genus/frobenius/table/msg/apery and the
+    gap counts above each floor all agree."""
     assert s.genus == len(s.gaps)
     assert len(s.small_elements) == s.frobenius + 2
     assert s.small_elements[0] is True or s.small_elements[0]
@@ -53,8 +74,13 @@ def assert_semigroup_consistent(s: NumericalSemigroup) -> None:
         assert s.gaps[-1] == s.frobenius
     else:
         assert s.frobenius == -1
+    for r in range(s.frobenius + 2):
+        assert s.gap_count_above(r) == sum(1 for g in s.gaps if g > r)
     assert math.gcd(*s.min_generators) == 1
     assert recomputed_min_generators(s) == s.min_generators
+    # the Apery set against saturation; its largest element is frobenius + m
+    m = s.multiplicity
+    assert s.apery == smallest_by_residue(saturated_members(s.min_generators, s.frobenius + m), m)
     # closure under addition, exhaustively on the table range
     members = [v for v in range(s.frobenius + 2) if s.contains(v)]
     for u in members:

@@ -70,6 +70,11 @@ class TestClosureCommand:
         assert code == 0
         assert out == "d=1 M=<>\n"
 
+    def test_huge_seed_value(self, capsys):
+        code, out, _ = invoke(["closure", "--X", "5,6,4000000"], capsys)
+        assert code == 0
+        assert out == "d=1 M=<5,6>\n"
+
     def test_overflow_is_exit_3(self, capsys):
         code, out, err = invoke(
             ["closure", "--a", str(2**40), "--b", "3", "--X", str(2**40)], capsys
@@ -97,6 +102,10 @@ class TestFeasibleCommand:
             ["feasible", "--a", "2,3", "--b", "4,2", "--X", "6,8", "--g", "9"], capsys
         )
         assert (code, out) == (0, "yes inf\n")
+
+    def test_large_genus(self, capsys):
+        code, out, _ = invoke(["feasible", "--X", "10007,10009", "--g", "1"], capsys)
+        assert (code, out) == (0, "yes 50070024\n")
 
 
 class TestOneCommand:

@@ -11,6 +11,7 @@ from abmonoids import (
     InvalidInstanceError,
     ProblemInstance,
     ResourceLimitError,
+    SubmonoidRep,
     TrivialMonoid,
     closure,
     feasible,
@@ -92,6 +93,16 @@ class TestClosure:
         with pytest.raises(Int64OverflowError):
             closure((2**40,), (3,), {2**40})
 
+    def test_wide_seed_pair(self):
+        # the multiplicity 1001 is far below the table cap, whatever the
+        # Frobenius number; values from an independent Apery computation
+        rep = closure((2,), (1,), {1001, 1003})
+        assert rep.d == 1
+        assert (rep.base.frobenius, rep.base.genus) == (336335, 168506)
+
+    def test_huge_seed_value_above_small_multiplicity(self):
+        assert closure((), (), {5, 6, 4000000}) == SubmonoidRep(1, from_generators({5, 6}))
+
     def test_generator_budget(self):
         with pytest.raises(ResourceLimitError):
             closure((1,), (1,), {2}, max_generators=1)
@@ -133,6 +144,13 @@ class TestFeasible:
     def test_empty_seed_always_feasible(self):
         assert feasible(ProblemInstance(g=100, r=7)).feasible
 
+    def test_large_genus_counted_without_listing_gaps(self):
+        # <10007,10009> has genus 10006 * 10008 / 2 = 50,070,024; its gaps up to
+        # 10006 are 1..10006
+        assert feasible(ProblemInstance(x={10007, 10009}, g=1)) == Feasibility(True, 50_070_024)
+        res = feasible(ProblemInstance(x={10007, 10009}, g=1, r=10006))
+        assert res.gap_count == 50_070_024 - 10_006
+
 
 class TestOneSolution:
     def test_worked_example(self):
@@ -156,6 +174,11 @@ class TestOneSolution:
 
     def test_empty_seed(self):
         assert one_solution(ProblemInstance(g=3, r=2)) == (3, 4, 5)
+
+    def test_large_genus(self):
+        assert one_solution(ProblemInstance(x={10007, 10009}, g=2, r=10005)) == (10006, 10008)
+        with pytest.raises(InfeasibleError, match="only 50070024 exist"):
+            one_solution(ProblemInstance(x={10007, 10009}, g=50_070_025))
 
 
 class TestProblemInstance:
@@ -242,10 +265,10 @@ def test_worklist_provenance_chain(inst):
     d = math.gcd(*inst.x, *inst.b)
     bs = tuple(v // d for v in inst.b)
     xs = sorted(v // d for v in inst.x)
-    gens, provenance, order = _worklist_closure(inst.a, bs, xs, 10**6)
+    base, provenance, order = _worklist_closure(inst.a, bs, xs, 10**6)
     rank = {m: i for i, m in enumerate(order)}
-    for gen in gens:
-        src = provenance[gen]
+    assert set(base.min_generators) <= set(provenance)
+    for gen, src in provenance.items():
         if src is None:
             assert gen in xs
         else:

@@ -11,18 +11,39 @@ from abmonoids import (
     ResourceLimitError,
     ZeroGeneratorError,
     from_generators,
-    intersect,
     remove_generator,
 )
-from abmonoids.semigroup import _canonicalize
+from abmonoids.semigroup import MAX_TABLE_SIZE
 
-from conftest import assert_semigroup_consistent, recomputed_min_generators, saturated_members
+from conftest import (
+    assert_semigroup_consistent,
+    intersect,
+    recomputed_min_generators,
+    saturated_members,
+    smallest_by_residue,
+)
 
 # small coprime generator sets; gcd-1 filtering keeps enough examples
 gen_sets = (
     st.sets(st.integers(min_value=1, max_value=20), min_size=1, max_size=4)
     .filter(lambda s: math.gcd(*s) == 1)
 )
+
+
+@st.composite
+def wide_gen_sets(draw):
+    """Coprime generator sets up to about 300, built so that the smallest
+    generator m shares a factor f with others (round-robin cycles with
+    gcd(g, m) > 1 over a table that still holds unreached residues) and
+    that include a sum of two generators (a non-minimal candidate)."""
+    f = draw(st.integers(2, 6))
+    m = f * draw(st.integers(1, 240 // f))
+    multiples = draw(st.lists(st.integers(m // f + 1, 300 // f), max_size=2))
+    coprime = draw(st.sampled_from([v for v in range(m + 1, 301) if math.gcd(v, m) == 1]))
+    gens = {m, coprime, *(f * k for k in multiples)}
+    pool = sorted(gens)
+    gens.add(draw(st.sampled_from(pool)) + draw(st.sampled_from(pool)))
+    return gens
 
 
 class TestFromGenerators:
@@ -68,9 +89,14 @@ class TestFromGenerators:
             from_generators({4, 6})
 
     def test_table_budget(self):
-        # huge generators would need a membership table past the hard cap
+        # the Apery table has one entry per residue of the multiplicity
         with pytest.raises(ResourceLimitError):
-            from_generators({10**6 + 1, 10**6 + 2})
+            from_generators({MAX_TABLE_SIZE + 1, MAX_TABLE_SIZE + 2})
+
+    def test_huge_generator_above_small_multiplicity(self):
+        s = from_generators({5, 6, 4000000})
+        assert s.min_generators == (5, 6)
+        assert (s.frobenius, s.genus) == (19, 10)
 
 
 class TestContains:
@@ -161,6 +187,13 @@ class TestGapsWithin:
         assert from_generators({3, 4}).gaps_within(0) == (1, 2, 5)
         assert from_generators({3, 4}).gaps_within(2) == (5,)
 
+    def test_gap_count_above(self):
+        # gaps of <3,4> are 1, 2, 5
+        s = from_generators({3, 4})
+        assert [s.gap_count_above(r) for r in range(7)] == [3, 2, 1, 1, 1, 0, 0]
+        assert s.gap_count_above(10**9) == 0
+        assert from_generators({1}).gap_count_above(0) == 0
+
 
 @given(gen_sets)
 @settings(max_examples=150, deadline=None)
@@ -170,6 +203,25 @@ def test_construction_consistent_and_matches_saturation(gens):
     limit = s.frobenius + 2
     expected = saturated_members(gens, limit)
     assert {v for v in range(limit + 1) if s.contains(v)} == expected
+
+
+@given(wide_gen_sets())
+@settings(max_examples=60, deadline=None)
+def test_wide_construction_matches_saturation(gens):
+    s = from_generators(gens)
+    m = min(gens)
+    limit = s.frobenius + m
+    members = saturated_members(gens, limit)
+    assert s.apery == smallest_by_residue(members, m)
+    assert {v for v in range(limit + 1) if s.contains(v)} == members
+    assert s.frobenius == max(set(range(limit + 1)) - members, default=-1)
+    assert s.genus == limit + 1 - len(members)
+    for r in (0, m, s.frobenius // 2, s.frobenius, s.frobenius + 1):
+        assert s.gap_count_above(r) == sum(1 for v in range(r + 1, limit + 1) if v not in members)
+    # a generator is minimal exactly when the other generators miss it
+    assert s.min_generators == tuple(
+        sorted(g for g in gens if g not in saturated_members(gens - {g}, g))
+    )
 
 
 @given(gen_sets)
@@ -182,9 +234,9 @@ def test_remove_generator_matches_recomputation(gens):
         got = remove_generator(s, m)
         assert got.frobenius == m
         assert got.genus == s.genus + 1
-        # independent recomputation from the mutated membership table
-        table = [s.contains(v) and v != m for v in range(m + 2)]
-        assert got == _canonicalize(table)
+        # pointwise: exactly m left, on a window past every minimal generator
+        for v in range(2 * m + 3):
+            assert got.contains(v) == (s.contains(v) and v != m)
         assert recomputed_min_generators(got) == got.min_generators
 
 

@@ -13,13 +13,12 @@ from abmonoids import (
     export_tree,
     feasible,
     from_generators,
-    intersect,
     oracle_solve,
     solve,
     variety_root,
 )
 
-from conftest import assert_tree_invariants, instance_corpus
+from conftest import assert_tree_invariants, instance_corpus, intersect
 
 WORKED = ProblemInstance(a=(1, 2), b=(4, 1), x={5}, g=6, r=0)
 SCALED = ProblemInstance(a=(2, 3), b=(4, 2), x={6, 8}, g=4, r=0)
@@ -295,12 +294,21 @@ def test_enumerated_trees_satisfy_invariants(inst):
     assert_tree_invariants(levels, inst)
 
 
-@given(small_instances())
+@st.composite
+def coprime_seeded_instances(draw):
+    """Instances with non-empty X and gcd(X + b) == 1, so the closure is a
+    numerical semigroup and the tree is finite."""
+    inst = draw(small_instances())
+    x = set(inst.x) or {draw(st.integers(inst.r + 1, 12))}
+    if math.gcd(*x, *inst.b) > 1:
+        x.add(min(x) + 1)  # not in x already, and coprime to min(x)
+    return ProblemInstance(a=inst.a, b=inst.b, x=frozenset(x), g=inst.g, r=inst.r)
+
+
+@given(coprime_seeded_instances())
 @settings(max_examples=40, deadline=None)
 def test_finite_varieties_exhaust_to_the_closure(inst):
-    assume(inst.x)
-    d = math.gcd(*inst.x, *inst.b)
-    assume(d == 1)
+    assert math.gcd(*inst.x, *inst.b) == 1
     rep = closure(inst.a, inst.b, inst.x)
     assume(rep.base.genus <= 8)
     depth = rep.base.genus - inst.r
