@@ -28,7 +28,7 @@ def show(inst: ProblemInstance, title: str) -> None:
         print(f"greedy solution: {one_solution(inst)}")
     levels = enumerate_levels(inst, inst.g)
     for depth, level in enumerate(levels):
-        labels = " ".join(repr(node.semigroup) for node in level)
+        labels = " ".join(map(repr, level))
         print(f"  level {depth} ({len(level)} nodes): {labels}")
     result = solve(inst)
     print(f"solutions ({len(result.solutions)}):")

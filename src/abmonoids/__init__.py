@@ -10,7 +10,7 @@ The package finds every g-element set C of integers >= r+1 such that
 
 Complements of such sets inside {0, r+1, ->} are numerical semigroups
 closed under the affine maps m -> a_i*m + b_i, which makes the search
-space a finitely-branching tree that can be walked level by level.
+space a finitely-branching tree that can be walked depth first.
 """
 
 from .closure import (
@@ -42,7 +42,6 @@ from .semigroup import NumericalSemigroup, from_generators, remove_generator
 from .tree import (
     DEFAULT_NODE_BUDGET,
     SolutionSet,
-    VarietyNode,
     children,
     enumerate_levels,
     export_tree,
@@ -70,7 +69,6 @@ __all__ = [
     "SolutionSet",
     "SubmonoidRep",
     "TrivialMonoid",
-    "VarietyNode",
     "ZeroGeneratorError",
     "check_conditions",
     "children",

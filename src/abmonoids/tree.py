@@ -1,4 +1,4 @@
-"""Level-by-level enumeration of the admissible semigroup tree.
+"""Depth-first walk of the admissible semigroup tree.
 
 The semigroups containing the seed set, closed under the affine
 conditions and contained in {0, r+1, ->} form a tree: the root is
@@ -9,36 +9,26 @@ admissible.  Removal of m is admissible iff m is not a seed value and no
 coordinate has (m - b_i) / a_i equal to a positive member of S, since
 that member's affine image would then be lost.
 
-Each removal adds exactly one gap, so the vertices at breadth-first
-depth k are exactly the admissible semigroups with r + k gaps, and the
-solutions of the size-g problem are the complements of the depth-g
-vertices inside {0, r+1, ->}.
+Each removal adds exactly one gap, so the vertices at depth k are
+exactly the admissible semigroups with r + k gaps, and the solutions of
+the size-g problem are the complements of the depth-g vertices inside
+{0, r+1, ->}.  The generators removed on the path to a vertex are its
+gaps above r in increasing order, so a preorder walk that visits children
+ascending lists each depth in lexicographic order of those gaps: the
+breadth-first order.  The walk holds the pending siblings of one path,
+never a whole level.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 from .closure import ProblemInstance, is_ab_monoid
 from .errors import ResourceLimitError
 from .semigroup import NumericalSemigroup, from_generators, remove_generator
 
 DEFAULT_NODE_BUDGET = 10**6
-
-
-@dataclass(frozen=True)
-class VarietyNode:
-    """A tree vertex: its semigroup plus breadth-first bookkeeping.
-
-    ``parent`` is an index into the level-ordered arena (the flattened
-    level lists); ``removed`` is the generator whose removal produced the
-    node and equals its Frobenius number.  Both are None at the root.
-    """
-
-    semigroup: NumericalSemigroup
-    depth: int
-    removed: int | None
-    parent: int | None
 
 
 @dataclass(frozen=True)
@@ -72,55 +62,65 @@ def _affine_preimage_in(s: NumericalSemigroup, m: int, ai: int, bi: int) -> bool
     return q > 0 and q % ai == 0 and s.contains(q // ai)
 
 
-def enumerate_levels(
-    inst: ProblemInstance, depth_limit: int, *, max_nodes: int = DEFAULT_NODE_BUDGET
-) -> list[list[VarietyNode]]:
-    """Breadth-first levels 0..depth_limit of the tree.
+def _walk(
+    inst: ProblemInstance, depth_limit: int, *, max_nodes: int
+) -> Iterator[tuple[NumericalSemigroup | None, NumericalSemigroup]]:
+    """(parent, vertex) pairs of the tree down to depth_limit, in preorder.
 
-    Stops early once a level is empty (the tree is exhausted).  Raises
-    ResourceLimitError when the total node count would exceed the budget,
-    since a truncated enumeration cannot certify a complete answer.
+    The root comes with parent None.  Raises ResourceLimitError on vertex
+    max_nodes + 1, since a truncated enumeration cannot certify a complete
+    answer.
     """
     if depth_limit < 0:
         raise ValueError("depth_limit must be non-negative")
     root = variety_root(inst.r)
     assert is_ab_monoid(root.min_generators, inst.a, inst.b)
-    levels = [[VarietyNode(root, 0, None, None)]]
-    total = 1
-    parent_start = 0
-    for depth in range(1, depth_limit + 1):
-        level = []
-        for offset, parent in enumerate(levels[-1]):
-            for child in children(parent.semigroup, inst):
-                level.append(VarietyNode(child, depth, child.frobenius, parent_start + offset))
-        if not level:
-            break
-        total += len(level)
-        if total > max_nodes:
-            raise ResourceLimitError(
-                f"tree enumeration exceeded {max_nodes} nodes at depth {depth}",
-                node_count=total,
-                depth=depth,
-            )
-        parent_start += len(levels[-1])
-        levels.append(level)
+    max_genus = inst.r + depth_limit
+    stack = [(None, root)]
+    count = 0
+    while stack:
+        parent, s = stack.pop()
+        count += 1
+        if count > max_nodes:
+            depth = s.genus - inst.r
+            msg = f"tree enumeration exceeded {max_nodes} nodes at depth {depth}"
+            raise ResourceLimitError(msg, node_count=count, depth=depth)
+        yield parent, s
+        if s.genus < max_genus:
+            stack.extend((s, child) for child in reversed(children(s, inst)))
+
+
+def enumerate_levels(
+    inst: ProblemInstance, depth_limit: int, *, max_nodes: int = DEFAULT_NODE_BUDGET
+) -> list[list[NumericalSemigroup]]:
+    """The vertices at depths 0..depth_limit, one breadth-first list per depth.
+
+    Ends early at the last non-empty depth when the tree is exhausted.
+    """
+    levels: list[list[NumericalSemigroup]] = []
+    for _, s in _walk(inst, depth_limit, max_nodes=max_nodes):
+        depth = s.genus - inst.r
+        if depth == len(levels):  # preorder reaches depth k after depth k - 1
+            levels.append([])
+        levels[depth].append(s)
     return levels
 
 
 def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolutionSet:
-    """All solutions of the instance, via depth-g tree enumeration.
+    """All solutions of the instance, from the depth-g vertices of the tree.
 
     On hitting the node budget no partial answer is kept: the result has
     an empty solution list and the truncated flag set.
     """
+    sols = []
+    node_count = 0
     try:
-        levels = enumerate_levels(inst, inst.g, max_nodes=max_nodes)
+        for _, s in _walk(inst, inst.g, max_nodes=max_nodes):
+            node_count += 1
+            if s.genus == inst.r + inst.g:
+                sols.append(s.gaps_within(inst.r))
     except ResourceLimitError as err:
         return SolutionSet((), err.node_count, True)
-    node_count = sum(len(level) for level in levels)
-    if len(levels) <= inst.g:
-        return SolutionSet((), node_count, False)
-    sols = sorted(node.semigroup.gaps_within(inst.r) for node in levels[inst.g])
     return SolutionSet(tuple(sols), node_count, False)
 
 
@@ -133,17 +133,10 @@ def export_tree(
     breadth-first order; edges follow in breadth-first order of the
     child.  The text is byte-stable for identical inputs.
     """
-    levels = enumerate_levels(inst, depth_limit, max_nodes=max_nodes)
-    arena = [node for level in levels for node in level]
+    # a stable sort, since preorder within one depth is breadth-first order
+    pairs = sorted(_walk(inst, depth_limit, max_nodes=max_nodes), key=lambda p: p[1].genus)
     lines = ["digraph variety {"]
-    for node in arena:
-        lines.append(f'  "{_label(node.semigroup)}";')
-    for node in arena:
-        if node.parent is not None:
-            lines.append(f'  "{_label(arena[node.parent].semigroup)}" -> "{_label(node.semigroup)}";')
+    lines += [f'  "{s!r}";' for _, s in pairs]
+    lines += [f'  "{parent!r}" -> "{s!r}";' for parent, s in pairs if parent is not None]
     lines.append("}")
     return "\n".join(lines) + "\n"
-
-
-def _label(s: NumericalSemigroup) -> str:
-    return "<" + ",".join(map(str, s.min_generators)) + ">"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 import random
 
-from abmonoids import ProblemInstance, from_generators, is_ab_monoid
+from abmonoids import ProblemInstance, children, from_generators, is_ab_monoid, variety_root
 from abmonoids.semigroup import NumericalSemigroup
 
 
@@ -89,28 +89,45 @@ def assert_semigroup_consistent(s: NumericalSemigroup) -> None:
 
 
 def assert_tree_invariants(levels, inst: ProblemInstance) -> None:
-    arena = [node for level in levels for node in level]
-    seen = set()
+    """Checks every vertex of ``levels`` (lists of semigroups, one per depth).
+
+    The parent link is checked from membership alone: for S at depth k >= 1,
+    S with its Frobenius number F put back is a vertex at depth k - 1, and F
+    is one of that vertex's minimal generators above its Frobenius number.
+    """
+    keys = [{s.min_generators for s in level} for level in levels]
+    assert sum(map(len, keys)) == sum(map(len, levels))  # no vertex twice
     for depth, level in enumerate(levels):
-        for node in level:
-            s = node.semigroup
-            assert node.depth == depth
+        for s in level:
             assert s.genus == depth + inst.r, (s, depth, inst)
-            assert s.min_generators not in seen
-            seen.add(s.min_generators)
             # contained in {0, r+1, ->} and containing the forbidden-set seed
             assert all(not s.contains(v) for v in range(1, inst.r + 1))
             assert all(s.contains(v) for v in inst.x)
             assert is_ab_monoid(s.min_generators, inst.a, inst.b)
             assert_semigroup_consistent(s)
-            if depth == 0:
-                assert node.removed is None and node.parent is None
-            else:
-                parent = arena[node.parent]
-                assert parent.depth == depth - 1
-                assert node.removed == s.frobenius
-                assert node.removed > parent.semigroup.frobenius
-                assert node.removed in parent.semigroup.min_generators
+            if depth > 0:
+                f = s.frobenius
+                # S ∪ {F} has Frobenius number below F, so its minimal
+                # generators are at most 2F - 1
+                parent = from_generators(
+                    v for v in range(1, 2 * f + 2) if v == f or s.contains(v)
+                )
+                assert parent.min_generators in keys[depth - 1], (s, parent)
+                assert f in parent.min_generators and f > parent.frobenius
+
+
+def bfs_levels(inst: ProblemInstance, depth: int) -> list:
+    """Reference breadth-first levels 0..depth of the tree as (parent, vertex)
+    pairs, the root's parent None: each level lists the children of the
+    previous one, parents in order and children ascending.  Stops after the
+    last non-empty level."""
+    levels = [[(None, variety_root(inst.r))]]
+    for _ in range(depth):
+        level = [(s, child) for _, s in levels[-1] for child in children(s, inst)]
+        if not level:
+            break
+        levels.append(level)
+    return levels
 
 
 def random_instance(rng: random.Random) -> ProblemInstance:

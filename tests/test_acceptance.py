@@ -96,10 +96,10 @@ def test_criterion_4():
     levels = enumerate_levels(WORKED, 20)
     result = solve(WORKED)
     elapsed = time.perf_counter() - start
-    vertices = {n.semigroup.min_generators for level in levels for n in level}
+    vertices = {s.min_generators for level in levels for s in level}
     assert len(vertices) == sum(len(level) for level in levels) == 18
     assert vertices == WORKED_VERTICES
-    assert {n.semigroup.min_generators for n in levels[6]} == {
+    assert {s.min_generators for s in levels[6]} == {
         (5, 8, 9, 11, 12),
         (5, 7, 9, 11, 13),
         (5, 6, 9, 13),

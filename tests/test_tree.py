@@ -18,7 +18,7 @@ from abmonoids import (
     variety_root,
 )
 
-from conftest import assert_tree_invariants, instance_corpus, intersect
+from conftest import assert_tree_invariants, bfs_levels, instance_corpus, intersect
 
 WORKED = ProblemInstance(a=(1, 2), b=(4, 1), x={5}, g=6, r=0)
 SCALED = ProblemInstance(a=(2, 3), b=(4, 2), x={6, 8}, g=4, r=0)
@@ -73,7 +73,11 @@ SCALED_FLOOR_LEVELS = [
 
 
 def level_keys(levels):
-    return [{node.semigroup.min_generators for node in level} for level in levels]
+    return [{s.min_generators for s in level} for level in levels]
+
+
+def _label(s):
+    return "<" + ",".join(map(str, s.min_generators)) + ">"
 
 
 class TestVarietyRoot:
@@ -120,7 +124,7 @@ class TestEnumerate:
     def test_depth_zero(self):
         levels = enumerate_levels(WORKED, 0)
         assert len(levels) == 1
-        assert levels[0][0].semigroup == from_generators({1})
+        assert levels == [[from_generators({1})]]
 
     def test_scaled_tree_levels(self):
         levels = enumerate_levels(SCALED, 4)
@@ -151,15 +155,17 @@ class TestEnumerate:
 
     def test_parent_of_corrected_vertex(self):
         # <5,6,9,13> hangs below <5,6,8,9>: its largest gap is 8
-        levels = enumerate_levels(WORKED, 6)
-        arena = [node for level in levels for node in level]
-        node = next(n for n in arena if n.semigroup.min_generators == (5, 6, 9, 13))
-        assert arena[node.parent].semigroup.min_generators == (5, 6, 8, 9)
+        edges = [ln for ln in export_tree(WORKED, 6).splitlines() if '" -> "<5,6,9,13>"' in ln]
+        assert edges == ['  "<5,6,8,9>" -> "<5,6,9,13>";']
 
     def test_node_budget(self):
-        with pytest.raises(ResourceLimitError) as exc:
-            enumerate_levels(WORKED, 20, max_nodes=5)
-        assert exc.value.node_count is not None and exc.value.node_count > 5
+        # WORKED has 18 vertices: every smaller budget trips on the vertex
+        # just past it, and a budget of 18 answers
+        for k in range(18):
+            with pytest.raises(ResourceLimitError) as exc:
+                enumerate_levels(WORKED, 20, max_nodes=k)
+            assert exc.value.node_count == k + 1
+        assert sum(map(len, enumerate_levels(WORKED, 20, max_nodes=18))) == 18
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
@@ -212,6 +218,20 @@ class TestSolve:
         result = solve(WORKED, max_nodes=3)
         assert result.truncated
         assert result.solutions == ()
+        # the tree down to depth 6 has 16 vertices
+        assert not solve(WORKED, max_nodes=16).truncated
+        result = solve(WORKED, max_nodes=15)
+        assert result.truncated and result.node_count == 16
+
+    def test_free_tree_counts_are_a007323(self):
+        # numerical semigroups of genus 0..15 (OEIS A007323); the tree down
+        # to depth g holds every semigroup of genus <= g
+        a007323 = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857)
+        for g, count in enumerate(a007323):
+            result = solve(ProblemInstance(g=g))
+            assert len(result.solutions) == count
+            assert list(result.solutions) == sorted(set(result.solutions))
+            assert result.node_count == sum(a007323[: g + 1])
 
 
 class TestExportTree:
@@ -240,12 +260,8 @@ class TestExportTree:
         dot = export_tree(WORKED, 20)
         node_lines = [ln for ln in dot.splitlines() if '";' in ln and "->" not in ln]
         assert len(node_lines) == 18
-        flat = [
-            node.semigroup
-            for level in enumerate_levels(WORKED, 20)
-            for node in level
-        ]
-        assert node_lines == [f'  "<{",".join(map(str, s.min_generators))}>";' for s in flat]
+        flat = [s for level in bfs_levels(WORKED, 20) for _, s in level]
+        assert node_lines == [f'  "{_label(s)}";' for s in flat]
 
     def test_budget_propagates(self):
         with pytest.raises(ResourceLimitError):
@@ -256,8 +272,8 @@ class TestExhaustion:
     def test_finite_tree_bottoms_out_at_the_closure(self):
         levels = enumerate_levels(WORKED, 50)
         rep = closure(WORKED.a, WORKED.b, WORKED.x)
-        assert levels[-1][0].semigroup == rep.base
-        everything = [node.semigroup for level in levels for node in level]
+        assert levels[-1] == [rep.base]
+        everything = [s for level in levels for s in level]
         assert reduce(intersect, everything) == rep.base
 
 
@@ -315,12 +331,29 @@ def test_finite_varieties_exhaust_to_the_closure(inst):
     levels = enumerate_levels(inst, depth + 1)
     assert len(levels) == depth + 1  # nothing deeper than the closure itself
     assert levels[-1] == levels[depth]
-    deepest = [node.semigroup for node in levels[depth]]
-    assert deepest == [rep.base]
-    everything = [node.semigroup for level in levels for node in level]
+    assert levels[depth] == [rep.base]
+    everything = [s for level in levels for s in level]
     assert reduce(intersect, everything) == rep.base
 
 
 def test_corpus_trees_satisfy_invariants():
     for inst in instance_corpus(40):
         assert_tree_invariants(enumerate_levels(inst, inst.g), inst)
+
+
+def _dot_lines(inst, depth):
+    """Node and edge lines of the DOT text, built from the reference levels."""
+    pairs = [pair for level in bfs_levels(inst, depth) for pair in level]
+    nodes = [f'  "{_label(s)}";' for _, s in pairs]
+    edges = [f'  "{_label(p)}" -> "{_label(s)}";' for p, s in pairs if p is not None]
+    return nodes, edges
+
+
+def test_walk_matches_breadth_first_reference():
+    for inst in [WORKED, SCALED, SCALED_FLOOR, *instance_corpus(200)]:
+        for depth in (inst.g, inst.g + 2):
+            reference = bfs_levels(inst, depth)
+            assert enumerate_levels(inst, depth) == [[s for _, s in lv] for lv in reference], inst
+            nodes, edges = _dot_lines(inst, depth)
+            lines = export_tree(inst, depth).splitlines()
+            assert lines == ["digraph variety {", *nodes, *edges, "}"], inst
