@@ -14,14 +14,24 @@ import time
 from abmonoids import ProblemInstance, oracle_solve, solve
 
 
-def random_instance(rng: random.Random, args) -> ProblemInstance:
-    n = rng.randint(0, args.max_n)
-    a = tuple(rng.randint(1, args.max_coeff) for _ in range(n))
-    b = tuple(rng.randint(1, args.max_coeff) for _ in range(n))
-    r = rng.randint(0, args.max_r)
-    pool = list(range(r + 1, args.max_x_value + 1))
-    x = frozenset(rng.sample(pool, rng.randint(0, min(args.max_x_size, len(pool)))))
-    g = rng.randint(0, args.max_g)
+def random_instance(
+    rng: random.Random,
+    *,
+    max_n: int = 3,
+    max_coeff: int = 5,
+    max_x_size: int = 3,
+    max_x_value: int = 12,
+    max_r: int = 3,
+    max_g: int = 5,
+) -> ProblemInstance:
+    """One random instance; the default bounds keep brute force tractable."""
+    n = rng.randint(0, max_n)
+    a = tuple(rng.randint(1, max_coeff) for _ in range(n))
+    b = tuple(rng.randint(1, max_coeff) for _ in range(n))
+    r = rng.randint(0, max_r)
+    pool = list(range(r + 1, max_x_value + 1))
+    x = frozenset(rng.sample(pool, rng.randint(0, min(max_x_size, len(pool)))))
+    g = rng.randint(0, max_g)
     return ProblemInstance(a=a, b=b, x=x, g=g, r=r)
 
 
@@ -29,19 +39,16 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--count", type=int, default=500)
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--max-n", type=int, default=3)
-    parser.add_argument("--max-coeff", type=int, default=5)
-    parser.add_argument("--max-x-size", type=int, default=3)
-    parser.add_argument("--max-x-value", type=int, default=12)
-    parser.add_argument("--max-r", type=int, default=3)
-    parser.add_argument("--max-g", type=int, default=5)
+    bounds = random_instance.__kwdefaults__
+    for name, default in bounds.items():
+        parser.add_argument("--" + name.replace("_", "-"), type=int, default=default)
     args = parser.parse_args()
 
     rng = random.Random(args.seed)
     start = time.perf_counter()
     total_solutions = 0
     for k in range(args.count):
-        inst = random_instance(rng, args)
+        inst = random_instance(rng, **{name: getattr(args, name) for name in bounds})
         got = solve(inst).solutions
         want = oracle_solve(inst).solutions
         if got != want:

@@ -77,14 +77,6 @@ class NumericalSemigroup:
         m = len(self.apery)
         return sum(max(0, (w - r - 1 - (i - r - 1) % m) // m) for i, w in enumerate(self.apery))
 
-    def gaps_within(self, r: int) -> tuple[int, ...]:
-        """Ascending gaps that are >= r + 1.
-
-        Equivalently the complement of the semigroup inside the set
-        consisting of 0 and every integer >= r + 1.
-        """
-        return tuple(g for g in self.gaps if g > r)
-
     @property
     def multiplicity(self) -> int:
         """Smallest nonzero member."""
@@ -191,8 +183,9 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     and shifts the whole ray; otherwise either the remaining generators
     still generate, or ``m + multiplicity`` becomes the one new minimal
     generator, depending on whether some smaller generator ``n_j`` has
-    ``m + multiplicity - n_j`` in ``s``.  The Apéry element of m's residue
-    moves from m to m + multiplicity, the smallest member left there.
+    ``m + multiplicity - n_j`` in ``s``, read off the copied Apéry set.
+    The Apéry element of m's residue moves from m to m + multiplicity, the
+    smallest member left there.
     """
     gens = s.min_generators
     if m not in gens:
@@ -208,10 +201,14 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     else:
         i = gens.index(m)
         new_gens = gens[:i] + gens[i + 1:]
-        if not any(s.contains(m + n1 - gens[j]) for j in range(1, i)):
+        ap = list(s.apery)
+        for g in gens[1:i]:
+            c = m + n1 - g
+            if c >= ap[c % n1]:
+                break
+        else:
             # appending keeps the order: each generator g has g - n1 <= frobenius < m
             new_gens += (m + n1,)
-        ap = list(s.apery)
         ap[m % n1] = m + n1
         apery = tuple(ap)
     return NumericalSemigroup(min_generators=new_gens, apery=apery, frobenius=m, genus=s.genus + 1)

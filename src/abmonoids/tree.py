@@ -16,7 +16,8 @@ the size-g problem are the complements of the depth-g vertices inside
 gaps above r in increasing order, so a preorder walk that visits children
 ascending lists each depth in lexicographic order of those gaps: the
 breadth-first order.  The walk holds the pending siblings of one path,
-never a whole level.
+never a whole level, and solutions are read from the path: each removed
+generator is the Frobenius number of the vertex it leads to.
 """
 
 from __future__ import annotations
@@ -47,19 +48,23 @@ def variety_root(r: int) -> NumericalSemigroup:
 
 def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemigroup]:
     """Admissible single-generator removals, ascending by removed generator."""
+    ap = s.apery
+    n1 = len(ap)
+    f = s.frobenius
+    maps = tuple(zip(inst.a, inst.b))
     out = []
     for m in s.min_generators:
-        if m <= s.frobenius or m in inst.x:
+        if m <= f or m in inst.x:
             continue
-        if any(_affine_preimage_in(s, m, ai, bi) for ai, bi in zip(inst.a, inst.b)):
-            continue
-        out.append(remove_generator(s, m))
+        for ai, bi in maps:
+            q = m - bi
+            if q > 0 and not q % ai:
+                p = q // ai
+                if p >= ap[p % n1]:  # the preimage p is a positive member of s
+                    break
+        else:
+            out.append(remove_generator(s, m))
     return out
-
-
-def _affine_preimage_in(s: NumericalSemigroup, m: int, ai: int, bi: int) -> bool:
-    q = m - bi
-    return q > 0 and q % ai == 0 and s.contains(q // ai)
 
 
 def _walk(
@@ -107,18 +112,23 @@ def enumerate_levels(
 
 
 def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolutionSet:
-    """All solutions of the instance, from the depth-g vertices of the tree.
+    """All solutions of the instance, read off the paths to the depth-g vertices:
+    the Frobenius numbers at depths 1..g of a path are its leaf's gaps above r.
 
     On hitting the node budget no partial answer is kept: the result has
     an empty solution list and the truncated flag set.
     """
     sols = []
+    path: list[int] = []
     node_count = 0
     try:
         for _, s in _walk(inst, inst.g, max_nodes=max_nodes):
             node_count += 1
-            if s.genus == inst.r + inst.g:
-                sols.append(s.gaps_within(inst.r))
+            depth = s.genus - inst.r
+            if depth:
+                path[depth - 1:] = [s.frobenius]
+            if depth == inst.g:
+                sols.append(tuple(path))
     except ResourceLimitError as err:
         return SolutionSet((), err.node_count, True)
     return SolutionSet(tuple(sols), node_count, False)

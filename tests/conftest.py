@@ -10,9 +10,14 @@ from __future__ import annotations
 
 import math
 import random
+import sys
+from pathlib import Path
 
 from abmonoids import ProblemInstance, children, from_generators, is_ab_monoid, variety_root
 from abmonoids.semigroup import NumericalSemigroup
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
+from cross_check import random_instance  # noqa: E402  (one copy, shared with the sweep script)
 
 
 def saturated_members(gens, limit: int) -> set[int]:
@@ -47,6 +52,11 @@ def intersect(s: NumericalSemigroup, t: NumericalSemigroup) -> NumericalSemigrou
     """
     hi = 2 * max(s.frobenius, t.frobenius, 0) + 2
     return from_generators(v for v in range(1, hi + 1) if s.contains(v) and t.contains(v))
+
+
+def gaps_above(s: NumericalSemigroup, r: int) -> tuple[int, ...]:
+    """The gaps of ``s`` that are >= r + 1, ascending: a solution's values."""
+    return tuple(v for v in s.gaps if v > r)
 
 
 def recomputed_min_generators(s: NumericalSemigroup) -> tuple[int, ...]:
@@ -128,19 +138,6 @@ def bfs_levels(inst: ProblemInstance, depth: int) -> list:
             break
         levels.append(level)
     return levels
-
-
-def random_instance(rng: random.Random) -> ProblemInstance:
-    """One random instance within the small-scale cross-check bounds."""
-    n = rng.randint(0, 3)
-    a = tuple(rng.randint(1, 5) for _ in range(n))
-    b = tuple(rng.randint(1, 5) for _ in range(n))
-    r = rng.randint(0, 3)
-    x_size = rng.randint(0, 3)
-    pool = list(range(r + 1, 13))
-    x = frozenset(rng.sample(pool, x_size))
-    g = rng.randint(0, 5)
-    return ProblemInstance(a=a, b=b, x=x, g=g, r=r)
 
 
 def instance_corpus(count: int, seed: int = 20260809) -> list[ProblemInstance]:

@@ -17,6 +17,7 @@ from abmonoids.semigroup import MAX_TABLE_SIZE
 
 from conftest import (
     assert_semigroup_consistent,
+    gaps_above,
     intersect,
     recomputed_min_generators,
     saturated_members,
@@ -177,15 +178,15 @@ class TestIntersect:
 class TestGapsWithin:
     def test_full_gap_list(self):
         s = from_generators({5, 9, 11, 13, 17})
-        assert s.gaps_within(0) == (1, 2, 3, 4, 6, 7, 8, 12)
+        assert gaps_above(s, 0) == (1, 2, 3, 4, 6, 7, 8, 12)
 
     def test_naturals_have_no_gaps(self):
-        assert from_generators({1}).gaps_within(5) == ()
+        assert gaps_above(from_generators({1}), 5) == ()
 
     def test_floor_filters(self):
         # brute-force derived: gaps of <3,4> are 1, 2, 5
-        assert from_generators({3, 4}).gaps_within(0) == (1, 2, 5)
-        assert from_generators({3, 4}).gaps_within(2) == (5,)
+        assert gaps_above(from_generators({3, 4}), 0) == (1, 2, 5)
+        assert gaps_above(from_generators({3, 4}), 2) == (5,)
 
     def test_gap_count_above(self):
         # gaps of <3,4> are 1, 2, 5

@@ -1,4 +1,7 @@
+import importlib
 import math
+from collections import Counter
+from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import assume, given, settings, strategies as st
 from abmonoids import (
     ProblemInstance,
     ResourceLimitError,
+    check_conditions,
     children,
     closure,
     enumerate_levels,
@@ -18,7 +22,7 @@ from abmonoids import (
     variety_root,
 )
 
-from conftest import assert_tree_invariants, bfs_levels, instance_corpus, intersect
+from conftest import assert_tree_invariants, bfs_levels, gaps_above, instance_corpus, intersect
 
 WORKED = ProblemInstance(a=(1, 2), b=(4, 1), x={5}, g=6, r=0)
 SCALED = ProblemInstance(a=(2, 3), b=(4, 2), x={6, 8}, g=4, r=0)
@@ -357,3 +361,46 @@ def test_walk_matches_breadth_first_reference():
             nodes, edges = _dot_lines(inst, depth)
             lines = export_tree(inst, depth).splitlines()
             assert lines == ["digraph variety {", *nodes, *edges, "}"], inst
+
+
+def test_solutions_read_off_the_path_are_the_gaps_above_r():
+    free = [ProblemInstance(g=g) for g in range(13)]
+    for inst in [WORKED, SCALED, SCALED_FLOOR, *instance_corpus(200), *free]:
+        levels = bfs_levels(inst, inst.g)
+        leaves = levels[inst.g] if len(levels) > inst.g else []
+        assert solve(inst).solutions == tuple(gaps_above(s, inst.r) for _, s in leaves), inst
+
+
+def test_children_match_the_defining_conditions():
+    # S \ {m} is a vertex exactly when the gaps of S above r plus m solve
+    # the problem one size up, checked by brute force instead of the
+    # Apéry-set preimage test
+    for inst in instance_corpus(200):
+        for k, level in enumerate(bfs_levels(inst, inst.g + 2)):
+            one_up = replace(inst, g=k + 1)
+            for _, s in level:
+                want = [
+                    m
+                    for m in s.min_generators
+                    if m > s.frobenius and check_conditions(gaps_above(s, inst.r) + (m,), one_up)
+                ]
+                assert [c.frobenius for c in children(s, inst)] == want, (inst, s)
+
+
+def test_tree_expansion_goes_through_the_module_names(monkeypatch):
+    # bench/tracing.py times the tree layers by rebinding these names in
+    # abmonoids.tree; an engine that bypasses them would report no spans
+    tree_module = importlib.import_module("abmonoids.tree")
+    calls = Counter()
+    for name in ("children", "remove_generator"):
+        fn = getattr(tree_module, name)
+
+        def counted(*args, _fn=fn, _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(tree_module, name, counted)
+    result = solve(ProblemInstance(g=8))
+    # 156 vertices down to genus 8, 67 of them at depth 8 and not expanded
+    assert result.node_count == 156
+    assert calls == {"children": 156 - 67, "remove_generator": 155}
