@@ -21,10 +21,10 @@ from abmonoids import (
 def show(inst: ProblemInstance, title: str) -> None:
     print(f"== {title}: a={inst.a} b={inst.b} X={sorted(inst.x)} g={inst.g} r={inst.r}")
     monoid = instance_closure(inst)
-    gaps = monoid.gap_count_within(inst.r)
-    print(f"closure: d={getattr(monoid, 'd', 1)} generators={monoid.expanded_generators()}")
-    print(f"available values >= {inst.r + 1}: {gaps}")
-    if feasible(inst).feasible:
+    res = feasible(inst)
+    print(f"closure: d={monoid.d} generators={monoid.expanded_generators()}")
+    print(f"available values >= {inst.r + 1}: {res.gap_count}")
+    if res.feasible:
         print(f"greedy solution: {one_solution(inst)}")
     levels = enumerate_levels(inst, inst.g)
     for depth, level in enumerate(levels):

@@ -17,7 +17,6 @@ from .closure import (
     Feasibility,
     ProblemInstance,
     SubmonoidRep,
-    TrivialMonoid,
     closure,
     feasible,
     instance_closure,
@@ -68,7 +67,6 @@ __all__ = [
     "ScaleTooLargeError",
     "SolutionSet",
     "SubmonoidRep",
-    "TrivialMonoid",
     "ZeroGeneratorError",
     "check_conditions",
     "children",

@@ -18,9 +18,8 @@ from __future__ import annotations
 import argparse
 import math
 import sys
-from dataclasses import dataclass
 
-from .closure import ProblemInstance, TrivialMonoid, feasible, instance_closure, one_solution
+from .closure import ProblemInstance, feasible, instance_closure, one_solution
 from .errors import (
     InfeasibleError,
     Int64OverflowError,
@@ -30,16 +29,6 @@ from .errors import (
 )
 from .oracle import oracle_solve
 from .tree import DEFAULT_NODE_BUDGET, export_tree, solve
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    command: str
-    instance: ProblemInstance
-    depth: int | None
-    max_nodes: int
-    engine: str
-    out: str | None
 
 
 def _csv_ints(text: str) -> tuple[int, ...]:
@@ -62,6 +51,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def instance_flags(p, with_g):
+        # Set per subparser: Python versions differ on whether parent defaults win.
+        p.set_defaults(g=0, depth=None, max_nodes=DEFAULT_NODE_BUDGET, engine="tree")
         p.add_argument("--a", type=_csv_ints, default=(), metavar="A1,A2,..",
                        help="affine multipliers (omit together with --b for none)")
         p.add_argument("--b", type=_csv_ints, default=(), metavar="B1,B2,..",
@@ -91,6 +82,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("oracle-solve", help="print all solutions (brute-force engine)")
     instance_flags(p, with_g=True)
+    p.set_defaults(engine="oracle")
 
     p = sub.add_parser("tree", help="write the semigroup tree as DOT")
     instance_flags(p, with_g=False)
@@ -100,37 +92,28 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def parse_args(argv=None) -> CliConfig:
+def parse_args(argv=None) -> argparse.Namespace:
+    """The argparse namespace plus ``instance``, the validated ProblemInstance."""
     parser = build_parser()
-    ns = parser.parse_args(argv)
+    args = parser.parse_args(argv)
     try:
-        instance = ProblemInstance(
-            a=ns.a, b=ns.b, x=frozenset(ns.X), g=getattr(ns, "g", 0), r=ns.r
+        args.instance = ProblemInstance(
+            a=args.a, b=args.b, x=frozenset(args.X), g=args.g, r=args.r
         )
     except InvalidInstanceError as err:
         parser.error(str(err))
-    depth = getattr(ns, "depth", None)
-    if depth is not None and depth < 0:
+    if args.depth is not None and args.depth < 0:
         parser.error("--depth must be non-negative")
-    max_nodes = getattr(ns, "max_nodes", DEFAULT_NODE_BUDGET)
-    if max_nodes < 1:
+    if args.max_nodes < 1:
         parser.error("--max-nodes must be positive")
-    engine = "oracle" if ns.command == "oracle-solve" else getattr(ns, "engine", "tree")
-    return CliConfig(
-        command=ns.command,
-        instance=instance,
-        depth=depth,
-        max_nodes=max_nodes,
-        engine=engine,
-        out=ns.out,
-    )
+    return args
 
 
-def _emit(config: CliConfig, text: str) -> None:
-    if config.out is None:
+def _emit(args: argparse.Namespace, text: str) -> None:
+    if args.out is None:
         sys.stdout.write(text)
     else:
-        with open(config.out, "w") as fh:
+        with open(args.out, "w") as fh:
             fh.write(text)
 
 
@@ -138,40 +121,40 @@ def _format_solution(sol: tuple[int, ...]) -> str:
     return ",".join(map(str, sol))
 
 
-def _cmd_closure(config: CliConfig) -> int:
-    monoid = instance_closure(config.instance)
-    if isinstance(monoid, TrivialMonoid):
-        _emit(config, "d=1 M=<>\n")
+def _cmd_closure(args: argparse.Namespace) -> int:
+    monoid = instance_closure(args.instance)
+    if monoid is None:
+        _emit(args, "d=1 M=<>\n")
         return 0
     line = f"d={monoid.d} M=<{','.join(map(str, monoid.base.min_generators))}>"
     if monoid.d > 1:
         line += f" expanded=<{','.join(map(str, monoid.expanded_generators()))}>"
-    _emit(config, line + "\n")
+    _emit(args, line + "\n")
     return 0
 
 
-def _cmd_feasible(config: CliConfig) -> int:
-    result = feasible(config.instance)
+def _cmd_feasible(args: argparse.Namespace) -> int:
+    result = feasible(args.instance)
     count = "inf" if math.isinf(result.gap_count) else str(result.gap_count)
-    _emit(config, f"{'yes' if result.feasible else 'no'} {count}\n")
+    _emit(args, f"{'yes' if result.feasible else 'no'} {count}\n")
     return 0 if result.feasible else 1
 
 
-def _cmd_one(config: CliConfig) -> int:
+def _cmd_one(args: argparse.Namespace) -> int:
     try:
-        sol = one_solution(config.instance)
+        sol = one_solution(args.instance)
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 1
-    _emit(config, _format_solution(sol) + "\n")
+    _emit(args, _format_solution(sol) + "\n")
     return 0
 
 
-def _cmd_solve(config: CliConfig) -> int:
-    if config.engine == "oracle":
-        result = oracle_solve(config.instance)
+def _cmd_solve(args: argparse.Namespace) -> int:
+    if args.engine == "oracle":
+        result = oracle_solve(args.instance)
     else:
-        result = solve(config.instance, max_nodes=config.max_nodes)
+        result = solve(args.instance, max_nodes=args.max_nodes)
         if result.truncated:
             print(
                 f"error: node budget exhausted after {result.node_count} nodes; "
@@ -180,13 +163,13 @@ def _cmd_solve(config: CliConfig) -> int:
             )
             return 3
     payload = "".join(_format_solution(sol) + "\n" for sol in result.solutions)
-    _emit(config, payload)
+    _emit(args, payload)
     print(f"# solutions={len(result.solutions)} nodes={result.node_count}", file=sys.stderr)
     return 0
 
 
-def _cmd_tree(config: CliConfig) -> int:
-    _emit(config, export_tree(config.instance, config.depth, max_nodes=config.max_nodes))
+def _cmd_tree(args: argparse.Namespace) -> int:
+    _emit(args, export_tree(args.instance, args.depth, max_nodes=args.max_nodes))
     return 0
 
 
@@ -200,9 +183,9 @@ _COMMANDS = {
 }
 
 
-def run(config: CliConfig) -> int:
+def run(args: argparse.Namespace) -> int:
     try:
-        return _COMMANDS[config.command](config)
+        return _COMMANDS[args.command](args)
     except (ResourceLimitError, Int64OverflowError, ScaleTooLargeError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

@@ -17,12 +17,16 @@ divided data, and the divided closure is a genuine numerical semigroup
 finitely many elements can ever be missing and the pass terminates).
 ``SubmonoidRep`` stores exactly this scaled form.
 
+``instance_closure`` returns ``None`` for an empty seed, which closes to
+{0}; ``feasible`` and ``one_solution`` read their answers off that object.
+
 All arithmetic is checked against the signed 64-bit range; exceeding it
 raises instead of silently producing huge search spaces.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -39,8 +43,9 @@ from .semigroup import NumericalSemigroup, add_generator, apery_table, from_aper
 
 INT64_MAX = (1 << 63) - 1
 
-# Guard on the worklist; the pass provably terminates but adversarial
-# magnitudes could exhaust memory long before that.
+# Guard on the worklist and on the length of ``one_solution``; the pass
+# provably terminates but adversarial magnitudes could exhaust memory
+# long before that.
 DEFAULT_MAX_GENERATORS = 10**6
 
 
@@ -100,10 +105,6 @@ class SubmonoidRep:
     d: int
     base: NumericalSemigroup
 
-    @property
-    def finite_complement(self) -> bool:
-        return self.d == 1
-
     def contains(self, v: int) -> bool:
         if v < 0:
             return False
@@ -112,50 +113,6 @@ class SubmonoidRep:
     def expanded_generators(self) -> tuple[int, ...]:
         """Minimal generators of the represented monoid itself."""
         return tuple(self.d * g for g in self.base.min_generators)
-
-    def gap_count_within(self, r: int) -> int | float:
-        """Number of integers >= r + 1 outside the monoid (inf when d > 1)."""
-        if self.d > 1:
-            return math.inf
-        return self.base.gap_count_above(r)
-
-    def first_gaps_within(self, r: int, k: int) -> tuple[int, ...]:
-        """The k smallest integers >= r + 1 outside the monoid."""
-        out = []
-        v = r + 1
-        while len(out) < k:
-            if self.d == 1 and v > self.base.frobenius:
-                break  # no gaps remain; caller checks feasibility first
-            if not self.contains(v):
-                out.append(v)
-            v += 1
-        return tuple(out)
-
-
-@dataclass(frozen=True)
-class TrivialMonoid:
-    """The monoid {0}: the closure of an empty seed set.
-
-    Every co-finite ray {0, k, ->} satisfies the affine conditions, so the
-    intersection of all admissible semigroups collapses to {0} when there
-    is no seed to keep.  Mirrors the SubmonoidRep query surface.
-    """
-
-    @property
-    def finite_complement(self) -> bool:
-        return False
-
-    def contains(self, v: int) -> bool:
-        return v == 0
-
-    def expanded_generators(self) -> tuple[int, ...]:
-        return ()
-
-    def gap_count_within(self, r: int) -> int | float:
-        return math.inf
-
-    def first_gaps_within(self, r: int, k: int) -> tuple[int, ...]:
-        return tuple(range(r + 1, r + 1 + k))
 
 
 def is_ab_monoid(gens, a, b) -> bool:
@@ -251,13 +208,23 @@ def closure(a, b, x, *, max_generators: int = DEFAULT_MAX_GENERATORS) -> Submono
     return SubmonoidRep(d=d, base=base)
 
 
-def instance_closure(
-    inst: ProblemInstance, *, max_generators: int = DEFAULT_MAX_GENERATORS
-) -> SubmonoidRep | TrivialMonoid:
-    """Closure of an instance's seed set, degenerating to {0} when empty."""
+def instance_closure(inst: ProblemInstance) -> SubmonoidRep | None:
+    """Closure of an instance's seed set; ``None`` stands for {0}.
+
+    Every co-finite ray {0, k, ->} satisfies the affine conditions, so the
+    intersection of all admissible semigroups collapses to {0} when there
+    is no seed to keep.
+    """
     if not inst.x:
-        return TrivialMonoid()
-    return closure(inst.a, inst.b, inst.x, max_generators=max_generators)
+        return None
+    return closure(inst.a, inst.b, inst.x)
+
+
+def _gap_count_above(monoid: SubmonoidRep | None, r: int) -> int | float:
+    """Number of integers >= r + 1 outside the monoid (inf unless d == 1)."""
+    if monoid is None or monoid.d > 1:
+        return math.inf
+    return monoid.base.gap_count_above(r)
 
 
 @dataclass(frozen=True)
@@ -269,26 +236,33 @@ class Feasibility:
         return self.feasible
 
 
-def feasible(inst: ProblemInstance, *, max_generators: int = DEFAULT_MAX_GENERATORS) -> Feasibility:
+def feasible(inst: ProblemInstance) -> Feasibility:
     """Whether a solution exists, with the witnessing gap count.
 
     A solution exists iff at least ``g`` integers >= r + 1 lie outside
     the closure monoid; an infinite complement is always enough.
     """
-    monoid = instance_closure(inst, max_generators=max_generators)
-    count = monoid.gap_count_within(inst.r)
+    count = _gap_count_above(instance_closure(inst), inst.r)
     return Feasibility(count >= inst.g, count)
 
 
-def one_solution(inst: ProblemInstance, *, max_generators: int = DEFAULT_MAX_GENERATORS) -> tuple[int, ...]:
-    """A single solution: the g smallest integers >= r + 1 outside the closure."""
-    monoid = instance_closure(inst, max_generators=max_generators)
-    count = monoid.gap_count_within(inst.r)
+def one_solution(inst: ProblemInstance) -> tuple[int, ...]:
+    """A single solution: the g smallest integers >= r + 1 outside the closure.
+
+    A feasible ``g`` above ``DEFAULT_MAX_GENERATORS`` raises ResourceLimitError.
+    """
+    monoid = instance_closure(inst)
+    count = _gap_count_above(monoid, inst.r)
     if count < inst.g:
         raise InfeasibleError(
             f"instance needs {inst.g} available values >= {inst.r + 1}, only {count} exist"
         )
-    solution = monoid.first_gaps_within(inst.r, inst.g)
+    if inst.g > DEFAULT_MAX_GENERATORS:
+        raise ResourceLimitError(
+            f"one solution of {inst.g} values exceeds the {DEFAULT_MAX_GENERATORS}-value budget"
+        )
+    outside = (v for v in itertools.count(inst.r + 1) if monoid is None or not monoid.contains(v))
+    solution = tuple(itertools.islice(outside, inst.g))
     if __debug__:
         from .oracle import check_conditions
 

@@ -125,6 +125,13 @@ class TestOneCommand:
         assert out == ""
         assert "infeasible" in err
 
+    @pytest.mark.parametrize("seed", [[], ["--a", "2,3", "--b", "4,2", "--X", "6,8"]])
+    def test_size_above_the_budget_is_exit_3(self, seed, capsys):
+        code, out, err = invoke(["one", *seed, "--g", str(10**12)], capsys)
+        assert code == 3
+        assert out == ""
+        assert err == "error: one solution of 1000000000000 values exceeds the 1000000-value budget\n"
+
 
 class TestSolveCommand:
     def test_worked(self, capsys):

@@ -12,7 +12,7 @@ from abmonoids import (
     ProblemInstance,
     ResourceLimitError,
     SubmonoidRep,
-    TrivialMonoid,
+    check_conditions,
     closure,
     feasible,
     from_generators,
@@ -60,14 +60,12 @@ class TestClosure:
         rep = closure((1, 2), (4, 1), {5})
         assert rep.d == 1
         assert rep.base == from_generators({5, 9, 11, 13, 17})
-        assert rep.finite_complement
 
     def test_gcd_reduction(self):
         rep = closure((2, 3), (4, 2), {6, 8})
         assert rep.d == 2
         assert rep.base == from_generators({3, 4})
         assert rep.expanded_generators() == (6, 8)
-        assert not rep.finite_complement
 
     def test_single_affine_map(self):
         # brute-force derived: saturating {2} under m -> m + 1 gives {0, 2, ->}
@@ -116,13 +114,10 @@ class TestClosure:
 
 class TestTrivialMonoid:
     def test_instance_closure_of_empty_seed(self):
-        monoid = instance_closure(ProblemInstance(a=(1,), b=(4,), x=frozenset(), g=3, r=0))
-        assert isinstance(monoid, TrivialMonoid)
-        assert monoid.contains(0)
-        assert not any(monoid.contains(v) for v in range(1, 50))
-        assert monoid.gap_count_within(2) == math.inf
-        assert monoid.first_gaps_within(2, 4) == (3, 4, 5, 6)
-        assert monoid.expanded_generators() == ()
+        # the empty seed closes to {0}: every integer >= r + 1 is available
+        assert instance_closure(ProblemInstance(a=(1,), b=(4,), x=frozenset(), g=3)) is None
+        assert feasible(ProblemInstance(a=(1,), b=(4,), g=4, r=2)) == Feasibility(True, math.inf)
+        assert one_solution(ProblemInstance(a=(1,), b=(4,), g=4, r=2)) == (3, 4, 5, 6)
 
 
 class TestFeasible:
@@ -179,6 +174,20 @@ class TestOneSolution:
         assert one_solution(ProblemInstance(x={10007, 10009}, g=2, r=10005)) == (10006, 10008)
         with pytest.raises(InfeasibleError, match="only 50070024 exist"):
             one_solution(ProblemInstance(x={10007, 10009}, g=50_070_025))
+
+    @pytest.mark.parametrize(
+        "inst",
+        [
+            ProblemInstance(g=10**12),
+            ProblemInstance(a=(2, 3), b=(4, 2), x={6, 8}, g=10**12),
+            ProblemInstance(x={10007, 10009}, g=10**6 + 1),
+        ],
+        ids=["empty-seed", "scaled-seed", "large-genus"],
+    )
+    def test_feasible_size_above_the_budget_is_refused(self, inst):
+        # refused before any value is listed, so the test allocates little
+        with pytest.raises(ResourceLimitError, match="1000000-value budget"):
+            one_solution(inst)
 
 
 class TestProblemInstance:
@@ -243,10 +252,11 @@ def test_closure_scaling_and_gcd(inst):
     elements = [v for v in range(1, limit + 1) if rep.contains(v)]
     assert math.gcd(*elements) == rep.d
     # finite complement exactly when no scaling remains
+    gap_count = feasible(ProblemInstance(a=inst.a, b=inst.b, x=inst.x)).gap_count
     if rep.d == 1:
-        assert rep.gap_count_within(0) == rep.base.genus
+        assert gap_count == rep.base.genus
     else:
-        assert math.isinf(rep.gap_count_within(0))
+        assert math.isinf(gap_count)
         assert all(not rep.contains(k * rep.d + 1) for k in range(1, 30))
 
 
@@ -286,6 +296,8 @@ def test_one_solution_agrees_with_feasibility(inst):
         assert len(sol) == inst.g
         assert all(v > inst.r for v in sol)
         assert not (set(sol) & inst.x)
+        # one_solution checks this itself only when assertions are on
+        assert check_conditions(sol, inst)
     else:
         with pytest.raises(InfeasibleError):
             one_solution(inst)
