@@ -20,22 +20,9 @@ from .closure import (
     closure,
     feasible,
     instance_closure,
-    is_ab_monoid,
     one_solution,
 )
-from .errors import (
-    EmptyGeneratorsError,
-    EmptyXError,
-    InfeasibleError,
-    Int64OverflowError,
-    InvalidInstanceError,
-    NonCoprimeError,
-    NotAboveFrobeniusError,
-    NotMinimalGeneratorError,
-    ResourceLimitError,
-    ScaleTooLargeError,
-    ZeroGeneratorError,
-)
+from .errors import InfeasibleError, Int64OverflowError, ResourceLimitError
 from .oracle import check_conditions, oracle_solve
 from .semigroup import NumericalSemigroup, from_generators, remove_generator
 from .tree import (
@@ -52,22 +39,14 @@ __version__ = "0.1.0"
 
 __all__ = [
     "DEFAULT_NODE_BUDGET",
-    "EmptyGeneratorsError",
-    "EmptyXError",
     "Feasibility",
     "InfeasibleError",
     "Int64OverflowError",
-    "InvalidInstanceError",
-    "NonCoprimeError",
-    "NotAboveFrobeniusError",
-    "NotMinimalGeneratorError",
     "NumericalSemigroup",
     "ProblemInstance",
     "ResourceLimitError",
-    "ScaleTooLargeError",
     "SolutionSet",
     "SubmonoidRep",
-    "ZeroGeneratorError",
     "check_conditions",
     "children",
     "closure",
@@ -76,7 +55,6 @@ __all__ = [
     "feasible",
     "from_generators",
     "instance_closure",
-    "is_ab_monoid",
     "one_solution",
     "oracle_solve",
     "remove_generator",

@@ -20,13 +20,7 @@ import math
 import sys
 
 from .closure import ProblemInstance, feasible, instance_closure, one_solution
-from .errors import (
-    InfeasibleError,
-    Int64OverflowError,
-    InvalidInstanceError,
-    ResourceLimitError,
-    ScaleTooLargeError,
-)
+from .errors import InfeasibleError, Int64OverflowError, ResourceLimitError
 from .oracle import oracle_solve
 from .tree import DEFAULT_NODE_BUDGET, export_tree, solve
 
@@ -100,7 +94,7 @@ def parse_args(argv=None) -> argparse.Namespace:
         args.instance = ProblemInstance(
             a=args.a, b=args.b, x=frozenset(args.X), g=args.g, r=args.r
         )
-    except InvalidInstanceError as err:
+    except ValueError as err:
         parser.error(str(err))
     if args.depth is not None and args.depth < 0:
         parser.error("--depth must be non-negative")
@@ -186,7 +180,7 @@ _COMMANDS = {
 def run(args: argparse.Namespace) -> int:
     try:
         return _COMMANDS[args.command](args)
-    except (ResourceLimitError, Int64OverflowError, ScaleTooLargeError) as err:
+    except (ResourceLimitError, Int64OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3
 

@@ -1,48 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, one per non-zero CLI exit code.
 
-
-class EmptyGeneratorsError(ValueError):
-    """A generating set must contain at least one element."""
-
-
-class ZeroGeneratorError(ValueError):
-    """Generators must be positive integers."""
-
-
-class NonCoprimeError(ValueError):
-    """Generators with gcd > 1 do not define a numerical semigroup."""
-
-
-class NotMinimalGeneratorError(ValueError):
-    """Only minimal generators can be removed from a semigroup."""
-
-
-class NotAboveFrobeniusError(ValueError):
-    """Removal is restricted to minimal generators above the Frobenius number."""
-
-
-class EmptyXError(ValueError):
-    """closure() needs a non-empty seed set; the empty seed degenerates to {0}."""
-
-
-class InvalidInstanceError(ValueError):
-    """Problem instance fields violate a validity constraint."""
+Invalid input raises the built-in ``ValueError`` (exit code 2); the types
+below cover the other two outcomes that are not an answer.
+"""
 
 
 class InfeasibleError(Exception):
-    """The instance admits no solution of the requested cardinality."""
-
-
-class ScaleTooLargeError(Exception):
-    """The brute-force candidate space is too large to enumerate."""
+    """The instance admits no solution of the requested cardinality (exit code 1)."""
 
 
 class Int64OverflowError(OverflowError):
-    """An intermediate value left the signed 64-bit range."""
+    """An intermediate value left the signed 64-bit range (exit code 3)."""
 
 
 class ResourceLimitError(Exception):
-    """A configured node or table budget was exceeded."""
+    """A configured node, table or search-space budget was exceeded (exit code 3)."""
 
     def __init__(self, message, *, node_count=None, depth=None):
         super().__init__(message)

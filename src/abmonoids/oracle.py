@@ -10,7 +10,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from .closure import ProblemInstance
-from .errors import ScaleTooLargeError
+from .errors import ResourceLimitError
 from .tree import SolutionSet
 
 DEFAULT_SCALE_BOUND = 9
@@ -54,12 +54,7 @@ def _sum_condition_holds(cset: set[int], lo: int, top: int) -> bool:
     return True
 
 
-def oracle_solve(
-    inst: ProblemInstance,
-    *,
-    scale_bound: int = DEFAULT_SCALE_BOUND,
-    universe_extension: int = 0,
-) -> SolutionSet:
+def oracle_solve(inst: ProblemInstance, *, universe_extension: int = 0) -> SolutionSet:
     """Every solution, by exhaustive enumeration of a finite candidate space.
 
     A solution C has complement S = {0, r+1, ->} \\ C that is a numerical
@@ -72,11 +67,12 @@ def oracle_solve(
     enumerate g-element subsets of {r+1, ..., 2*(r+g) - 1}.
 
     ``universe_extension`` widens that range; tests use it to confirm
-    empirically that the bound loses nothing.
+    empirically that the bound loses nothing.  An instance with r + g above
+    ``DEFAULT_SCALE_BOUND`` raises ResourceLimitError.
     """
-    if inst.r + inst.g > scale_bound:
-        raise ScaleTooLargeError(
-            f"r + g = {inst.r + inst.g} exceeds the brute-force bound {scale_bound}"
+    if inst.r + inst.g > DEFAULT_SCALE_BOUND:
+        raise ResourceLimitError(
+            f"r + g = {inst.r + inst.g} exceeds the brute-force bound {DEFAULT_SCALE_BOUND}"
         )
     hi = 2 * (inst.r + inst.g) - 1 + universe_extension
     universe = range(inst.r + 1, hi + 1)

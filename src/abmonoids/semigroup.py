@@ -30,14 +30,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import (
-    EmptyGeneratorsError,
-    NonCoprimeError,
-    NotAboveFrobeniusError,
-    NotMinimalGeneratorError,
-    ResourceLimitError,
-    ZeroGeneratorError,
-)
+from .errors import ResourceLimitError
 
 # Hard ceiling on the length of an Apéry table, which is the multiplicity, so
 # construction fails loudly instead of allocating unbounded memory.  At the cap
@@ -76,11 +69,6 @@ class NumericalSemigroup:
         apery[i] - m of each residue i; the first >= r + 1 is r + 1 + (i - r - 1) % m."""
         m = len(self.apery)
         return sum(max(0, (w - r - 1 - (i - r - 1) % m) // m) for i, w in enumerate(self.apery))
-
-    @property
-    def multiplicity(self) -> int:
-        """Smallest nonzero member."""
-        return self.min_generators[0]
 
     def __eq__(self, other):
         if not isinstance(other, NumericalSemigroup):
@@ -161,12 +149,12 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     """
     gen_list = sorted(set(gens))
     if not gen_list:
-        raise EmptyGeneratorsError("at least one generator is required")
+        raise ValueError("at least one generator is required")
     if gen_list[0] < 1:
-        raise ZeroGeneratorError(f"generators must be positive, got {gen_list[0]}")
+        raise ValueError(f"generators must be positive, got {gen_list[0]}")
     d = math.gcd(*gen_list)
     if d != 1:
-        raise NonCoprimeError(f"gcd of generators is {d}, expected 1")
+        raise ValueError(f"gcd of generators is {d}, expected 1")
     ap = apery_table(gen_list[0])
     for g in gen_list[1:]:
         add_generator(ap, g)
@@ -189,9 +177,9 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     """
     gens = s.min_generators
     if m not in gens:
-        raise NotMinimalGeneratorError(f"{m} is not a minimal generator of {s}")
+        raise ValueError(f"{m} is not a minimal generator of {s}")
     if m <= s.frobenius:
-        raise NotAboveFrobeniusError(f"{m} is not above the Frobenius number {s.frobenius}")
+        raise ValueError(f"{m} is not above the Frobenius number {s.frobenius}")
 
     n1 = gens[0]
     if m == n1:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator
 
-from .closure import ProblemInstance, is_ab_monoid
+from .closure import ProblemInstance
 from .errors import ResourceLimitError
 from .semigroup import NumericalSemigroup, from_generators, remove_generator
 
@@ -78,10 +78,9 @@ def _walk(
     """
     if depth_limit < 0:
         raise ValueError("depth_limit must be non-negative")
-    root = variety_root(inst.r)
-    assert is_ab_monoid(root.min_generators, inst.a, inst.b)
     max_genus = inst.r + depth_limit
-    stack = [(None, root)]
+    # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
+    stack = [(None, variety_root(inst.r))]
     count = 0
     while stack:
         parent, s = stack.pop()

@@ -3,17 +3,27 @@
 The helpers here deliberately avoid the package's membership tables and
 incremental updates: monoids are saturated by repeated addition, minimal
 generators recomputed from scratch, so that golden values and property
-tests rest on an independent code path.
+tests rest on an independent code path.  The one use of the engine,
+``free_tree_reference``, takes the unconstrained tree only after its
+level sizes match the known counts, and filters it by brute force.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import random
 import sys
 from pathlib import Path
 
-from abmonoids import ProblemInstance, children, from_generators, is_ab_monoid, variety_root
+from abmonoids import (
+    ProblemInstance,
+    check_conditions,
+    children,
+    enumerate_levels,
+    from_generators,
+    variety_root,
+)
 from abmonoids.semigroup import NumericalSemigroup
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "scripts"))
@@ -32,6 +42,15 @@ def saturated_members(gens, limit: int) -> set[int]:
                 members.add(v)
                 frontier.append(v)
     return members
+
+
+def is_affine_closed(gens, a, b) -> bool:
+    """Does the monoid generated by ``gens`` hold a_i*m + b_i for every
+    generator m and coordinate i?  Checking the generators suffices (see
+    ``abmonoids.closure``); ``gens`` may have gcd > 1."""
+    images = [ai * m + bi for m in gens for ai, bi in zip(a, b)]
+    members = saturated_members(gens, max(images, default=0))
+    return all(v in members for v in images)
 
 
 def smallest_by_residue(members, m: int) -> tuple:
@@ -89,7 +108,7 @@ def assert_semigroup_consistent(s: NumericalSemigroup) -> None:
     assert math.gcd(*s.min_generators) == 1
     assert recomputed_min_generators(s) == s.min_generators
     # the Apery set against saturation; its largest element is frobenius + m
-    m = s.multiplicity
+    m = s.min_generators[0]
     assert s.apery == smallest_by_residue(saturated_members(s.min_generators, s.frobenius + m), m)
     # closure under addition, exhaustively on the table range
     members = [v for v in range(s.frobenius + 2) if s.contains(v)]
@@ -113,7 +132,7 @@ def assert_tree_invariants(levels, inst: ProblemInstance) -> None:
             # contained in {0, r+1, ->} and containing the forbidden-set seed
             assert all(not s.contains(v) for v in range(1, inst.r + 1))
             assert all(s.contains(v) for v in inst.x)
-            assert is_ab_monoid(s.min_generators, inst.a, inst.b)
+            assert is_affine_closed(s.min_generators, inst.a, inst.b)
             assert_semigroup_consistent(s)
             if depth > 0:
                 f = s.frobenius
@@ -138,6 +157,37 @@ def bfs_levels(inst: ProblemInstance, depth: int) -> list:
             break
         levels.append(level)
     return levels
+
+
+# numerical semigroups of genus 0, 1, ... (OEIS A007323)
+A007323 = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857, 4806, 8045, 13467)
+
+
+@functools.cache
+def _free_tree_gaps() -> list:
+    """Gap tuples of the unconstrained tree's vertices, one list per genus.
+
+    The counts equal A007323 and no gap tuple repeats, so each list holds
+    every numerical semigroup of its genus, however the tree was walked."""
+    levels = [[s.gaps for s in level] for level in enumerate_levels(ProblemInstance(), 18)]
+    assert [len(level) for level in levels] == list(A007323)
+    for genus, level in enumerate(levels):
+        assert len(set(level)) == len(level)
+        assert all(len(gaps) == genus for gaps in level)
+    return levels
+
+
+def free_tree_reference(inst: ProblemInstance) -> tuple:
+    """Every solution of ``inst`` (r + g <= 18), sorted, with no pruning.
+
+    A set C solves the instance exactly when {0, r+1, ->} minus C is a
+    numerical semigroup with gaps 1..r and C that meets the conditions, so
+    the candidates are the genus-(r+g) semigroups whose first r gaps are
+    1..r, filtered by the brute-force ``check_conditions``."""
+    floor = tuple(range(1, inst.r + 1))
+    level = _free_tree_gaps()[inst.r + inst.g]
+    candidates = (gaps[inst.r:] for gaps in level if gaps[:inst.r] == floor)
+    return tuple(sorted(c for c in candidates if check_conditions(c, inst)))
 
 
 def instance_corpus(count: int, seed: int = 20260809) -> list[ProblemInstance]:

@@ -1,5 +1,7 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -48,7 +50,7 @@ class TestParse:
     def test_empty_x_and_tuples_allowed(self):
         config = parse_args(["solve", "--X", "", "--g", "2"])
         assert config.instance.x == frozenset()
-        assert config.instance.n == 0
+        assert config.instance.a == config.instance.b == ()
 
     def test_oracle_solve_sets_engine(self):
         assert parse_args(["oracle-solve", *WORKED]).engine == "oracle"
@@ -166,11 +168,11 @@ class TestSolveCommand:
         assert "node budget" in err
 
     def test_oracle_scale_limit_is_exit_3(self, capsys):
-        code, _, err = invoke(
+        code, out, err = invoke(
             ["solve", "--X", "8", "--g", "7", "--r", "3", "--engine", "oracle"], capsys
         )
-        assert code == 3
-        assert "error" in err
+        assert (code, out) == (3, "")
+        assert err == "error: r + g = 10 exceeds the brute-force bound 9\n"
 
 
 class TestTreeCommand:
@@ -195,10 +197,14 @@ class TestTreeCommand:
 
 
 def test_module_entry_point():
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "abmonoids", "solve", *WORKED],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,2,3,4,6,7\n1,2,3,4,6,8\n1,2,3,4,7,8\n"

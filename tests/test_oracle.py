@@ -1,9 +1,10 @@
+import importlib
 from math import comb
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abmonoids import ProblemInstance, ScaleTooLargeError, check_conditions, oracle_solve
+from abmonoids import ProblemInstance, ResourceLimitError, check_conditions, oracle_solve
 from abmonoids.oracle import _sum_condition_holds
 
 from conftest import instance_corpus
@@ -70,10 +71,13 @@ class TestOracleSolve:
         # universe {1..11} for r=0, g=6
         assert oracle_solve(WORKED).node_count == comb(11, 6)
 
-    def test_scale_bound(self):
-        with pytest.raises(ScaleTooLargeError):
-            oracle_solve(ProblemInstance(a=(1,), b=(1,), x={8}, g=7, r=3))
-        oracle_solve(ProblemInstance(a=(1,), b=(1,), x={8}, g=7, r=3), scale_bound=10)
+    def test_brute_force_bound(self, monkeypatch):
+        inst = ProblemInstance(a=(1,), b=(1,), x={8}, g=7, r=3)
+        msg = r"r \+ g = 10 exceeds the brute-force bound 9"
+        with pytest.raises(ResourceLimitError, match=msg):
+            oracle_solve(inst)
+        monkeypatch.setattr(importlib.import_module("abmonoids.oracle"), "DEFAULT_SCALE_BOUND", 10)
+        oracle_solve(inst)
 
 
 candidate_sets = st.sets(st.integers(1, 14), min_size=1, max_size=5)

@@ -3,16 +3,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abmonoids import (
-    EmptyGeneratorsError,
-    NonCoprimeError,
-    NotAboveFrobeniusError,
-    NotMinimalGeneratorError,
-    ResourceLimitError,
-    ZeroGeneratorError,
-    from_generators,
-    remove_generator,
-)
+from abmonoids import ResourceLimitError, from_generators, remove_generator
 from abmonoids.semigroup import MAX_TABLE_SIZE
 
 from conftest import (
@@ -74,24 +65,25 @@ class TestFromGenerators:
         assert from_generators([11, 5, 4]) == from_generators((4, 5, 11))
 
     def test_empty_rejected(self):
-        with pytest.raises(EmptyGeneratorsError):
+        with pytest.raises(ValueError, match="at least one generator is required"):
             from_generators(set())
 
     def test_zero_rejected(self):
-        with pytest.raises(ZeroGeneratorError):
+        with pytest.raises(ValueError, match="generators must be positive, got 0"):
             from_generators({0, 3})
 
     def test_negative_rejected(self):
-        with pytest.raises(ZeroGeneratorError):
+        with pytest.raises(ValueError, match="generators must be positive, got -2"):
             from_generators({-2, 3})
 
     def test_non_coprime_rejected(self):
-        with pytest.raises(NonCoprimeError):
+        with pytest.raises(ValueError, match="gcd of generators is 2, expected 1"):
             from_generators({4, 6})
 
     def test_table_budget(self):
         # the Apery table has one entry per residue of the multiplicity
-        with pytest.raises(ResourceLimitError):
+        msg = "would exceed 1048576 entries for multiplicity 1048577"
+        with pytest.raises(ResourceLimitError, match=msg):
             from_generators({MAX_TABLE_SIZE + 1, MAX_TABLE_SIZE + 2})
 
     def test_huge_generator_above_small_multiplicity(self):
@@ -141,12 +133,12 @@ class TestRemoveGenerator:
         assert t.gaps == s.gaps + (9,)
 
     def test_non_generator_rejected(self):
-        with pytest.raises(NotMinimalGeneratorError):
+        with pytest.raises(ValueError, match="10 is not a minimal generator of <5,7,9>"):
             remove_generator(from_generators({5, 7, 9}), 10)
 
     def test_below_frobenius_rejected(self):
         # frobenius of <5,7,9> is 13, so 5 is not removable here
-        with pytest.raises(NotAboveFrobeniusError):
+        with pytest.raises(ValueError, match="5 is not above the Frobenius number 13"):
             remove_generator(from_generators({5, 7, 9}), 5)
 
 

@@ -1,5 +1,6 @@
 import importlib
 import math
+import random
 from collections import Counter
 from dataclasses import replace
 from functools import reduce
@@ -22,7 +23,16 @@ from abmonoids import (
     variety_root,
 )
 
-from conftest import assert_tree_invariants, bfs_levels, gaps_above, instance_corpus, intersect
+from conftest import (
+    A007323,
+    assert_tree_invariants,
+    bfs_levels,
+    free_tree_reference,
+    gaps_above,
+    instance_corpus,
+    intersect,
+    random_instance,
+)
 
 WORKED = ProblemInstance(a=(1, 2), b=(4, 1), x={5}, g=6, r=0)
 SCALED = ProblemInstance(a=(2, 3), b=(4, 2), x={6, 8}, g=4, r=0)
@@ -166,13 +176,13 @@ class TestEnumerate:
         # WORKED has 18 vertices: every smaller budget trips on the vertex
         # just past it, and a budget of 18 answers
         for k in range(18):
-            with pytest.raises(ResourceLimitError) as exc:
+            with pytest.raises(ResourceLimitError, match=f"exceeded {k} nodes at depth") as exc:
                 enumerate_levels(WORKED, 20, max_nodes=k)
             assert exc.value.node_count == k + 1
         assert sum(map(len, enumerate_levels(WORKED, 20, max_nodes=18))) == 18
 
     def test_negative_depth_rejected(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="depth_limit must be non-negative"):
             enumerate_levels(WORKED, -1)
 
 
@@ -230,7 +240,7 @@ class TestSolve:
     def test_free_tree_counts_are_a007323(self):
         # numerical semigroups of genus 0..15 (OEIS A007323); the tree down
         # to depth g holds every semigroup of genus <= g
-        a007323 = (1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592, 1001, 1693, 2857)
+        a007323 = A007323[:16]
         for g, count in enumerate(a007323):
             result = solve(ProblemInstance(g=g))
             assert len(result.solutions) == count
@@ -268,7 +278,7 @@ class TestExportTree:
         assert node_lines == [f'  "{_label(s)}";' for s in flat]
 
     def test_budget_propagates(self):
-        with pytest.raises(ResourceLimitError):
+        with pytest.raises(ResourceLimitError, match="exceeded 4 nodes at depth 4"):
             export_tree(WORKED, 20, max_nodes=4)
 
 
@@ -369,6 +379,19 @@ def test_solutions_read_off_the_path_are_the_gaps_above_r():
         levels = bfs_levels(inst, inst.g)
         leaves = levels[inst.g] if len(levels) > inst.g else []
         assert solve(inst).solutions == tuple(gaps_above(s, inst.r) for _, s in leaves), inst
+
+
+def test_solve_matches_the_free_tree_reference():
+    # beyond the brute-force bound r + g <= 9: the reference takes every
+    # semigroup of genus r + g from the unconstrained tree, without pruning
+    rng = random.Random(5)
+    checked = 0
+    for _ in range(150):
+        inst = random_instance(rng, max_r=6, max_g=14, max_x_value=30, max_x_size=4)
+        if inst.r + inst.g <= 18:
+            assert solve(inst).solutions == free_tree_reference(inst), inst
+            checked += 1
+    assert checked > 100
 
 
 def test_children_match_the_defining_conditions():
