@@ -46,7 +46,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     def instance_flags(p, with_g):
         # Set per subparser: Python versions differ on whether parent defaults win.
-        p.set_defaults(g=0, depth=None, max_nodes=DEFAULT_NODE_BUDGET, engine="tree")
+        # ``parser`` lets the checks made after argparse report with this usage.
+        p.set_defaults(g=0, depth=None, max_nodes=DEFAULT_NODE_BUDGET, engine="tree", parser=p)
         p.add_argument("--a", type=_csv_ints, default=(), metavar="A1,A2,..",
                        help="affine multipliers (omit together with --b for none)")
         p.add_argument("--b", type=_csv_ints, default=(), metavar="B1,B2,..",
@@ -88,18 +89,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 def parse_args(argv=None) -> argparse.Namespace:
     """The argparse namespace plus ``instance``, the validated ProblemInstance."""
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         args.instance = ProblemInstance(
             a=args.a, b=args.b, x=frozenset(args.X), g=args.g, r=args.r
         )
     except ValueError as err:
-        parser.error(str(err))
+        args.parser.error(str(err))
     if args.depth is not None and args.depth < 0:
-        parser.error("--depth must be non-negative")
+        args.parser.error("--depth must be non-negative")
     if args.max_nodes < 1:
-        parser.error("--max-nodes must be positive")
+        args.parser.error("--max-nodes must be positive")
     return args
 
 

@@ -2,7 +2,7 @@
 
 A numerical semigroup is a subset of the non-negative integers that
 contains 0, is closed under addition, and misses only finitely many
-integers (its *gaps*).  A value stores:
+integers (its *gaps*).  A value is a named tuple of four fields:
 
 * ``min_generators``, the unique minimal generating set, ascending; its
   first entry is the multiplicity m, the smallest nonzero member;
@@ -17,7 +17,9 @@ integers (its *gaps*).  A value stores:
 
 ``gaps`` and the membership table ``small_elements`` are built from the
 Apéry set on request.  Two values are equal exactly when their minimal
-generating sets are equal; the remaining fields are derived data.
+generating sets are equal; the remaining fields are derived data.  The
+tuple only backs the storage: ``x in s`` is semigroup membership, not a
+search of the fields, and the fields cannot be reassigned.
 
 Apéry sets are built one generator at a time by the round-robin pass of
 Böcker and Lipták (2007), see ``add_generator``; the stored semigroup
@@ -27,8 +29,7 @@ never needs a bound on its Frobenius number.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ResourceLimitError
 
@@ -38,8 +39,7 @@ from .errors import ResourceLimitError
 MAX_TABLE_SIZE = 1 << 20
 
 
-@dataclass(frozen=True, eq=False)
-class NumericalSemigroup:
+class NumericalSemigroup(NamedTuple):
     min_generators: tuple[int, ...]
     apery: tuple[int, ...]
     frobenius: int
@@ -74,6 +74,10 @@ class NumericalSemigroup:
         if not isinstance(other, NumericalSemigroup):
             return NotImplemented
         return self.min_generators == other.min_generators
+
+    def __ne__(self, other):  # tuple's own __ne__ would compare every field
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
 
     def __hash__(self):
         return hash(self.min_generators)
@@ -199,4 +203,4 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
             new_gens += (m + n1,)
         ap[m % n1] = m + n1
         apery = tuple(ap)
-    return NumericalSemigroup(min_generators=new_gens, apery=apery, frobenius=m, genus=s.genus + 1)
+    return NumericalSemigroup(new_gens, apery, m, s.genus + 1)

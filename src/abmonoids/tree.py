@@ -17,7 +17,10 @@ gaps above r in increasing order, so a preorder walk that visits children
 ascending lists each depth in lexicographic order of those gaps: the
 breadth-first order.  The walk holds the pending siblings of one path,
 never a whole level, and solutions are read from the path: each removed
-generator is the Frobenius number of the vertex it leads to.
+generator is the Frobenius number of the vertex it leads to.  ``solve``
+therefore never builds a depth-g vertex: below each vertex at depth
+g - 1 it only lists the admissible generators (``admissible``), and
+each one completes a path into a solution.
 """
 
 from __future__ import annotations
@@ -46,8 +49,8 @@ def variety_root(r: int) -> NumericalSemigroup:
     return from_generators(range(r + 1, 2 * r + 2))
 
 
-def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemigroup]:
-    """Admissible single-generator removals, ascending by removed generator."""
+def admissible(s: NumericalSemigroup, inst: ProblemInstance) -> list[int]:
+    """The generators whose removal from s is admissible, ascending."""
     ap = s.apery
     n1 = len(ap)
     f = s.frobenius
@@ -63,8 +66,13 @@ def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemi
                 if p >= ap[p % n1]:  # the preimage p is a positive member of s
                     break
         else:
-            out.append(remove_generator(s, m))
+            out.append(m)
     return out
+
+
+def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemigroup]:
+    """Admissible single-generator removals, ascending by removed generator."""
+    return [remove_generator(s, m) for m in admissible(s, inst)]
 
 
 def _walk(
@@ -114,22 +122,32 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     """All solutions of the instance, read off the paths to the depth-g vertices:
     the Frobenius numbers at depths 1..g of a path are its leaf's gaps above r.
 
-    On hitting the node budget no partial answer is kept: the result has
-    an empty solution list and the truncated flag set.
+    The depth-g vertices are counted but not built: a vertex at depth
+    g - 1 contributes one solution ``path + (m,)`` per admissible
+    generator m.  They still count against the budget in preorder, right
+    after their parent.  On hitting the node budget no partial answer is
+    kept: the result has an empty solution list, the truncated flag set
+    and ``max_nodes + 1`` nodes, the vertex the budget tripped on.
     """
+    if not inst.g:  # the root is the one depth-0 vertex, with no gaps above r
+        return SolutionSet(((),), 1, False) if max_nodes >= 1 else SolutionSet((), 1, True)
     sols = []
     path: list[int] = []
     node_count = 0
-    try:
-        for _, s in _walk(inst, inst.g, max_nodes=max_nodes):
-            node_count += 1
-            depth = s.genus - inst.r
-            if depth:
-                path[depth - 1:] = [s.frobenius]
-            if depth == inst.g:
-                sols.append(tuple(path))
-    except ResourceLimitError as err:
-        return SolutionSet((), err.node_count, True)
+    last = inst.g - 1
+    # _walk counts only the vertices above depth g, never more than
+    # node_count, so its budget of max_nodes + 1 cannot trip first
+    for _, s in _walk(inst, last, max_nodes=max_nodes + 1):
+        depth = s.genus - inst.r
+        if depth:
+            path[depth - 1:] = [s.frobenius]
+        ms = admissible(s, inst) if depth == last else ()
+        node_count += 1 + len(ms)
+        if node_count > max_nodes:
+            return SolutionSet((), max_nodes + 1, True)
+        if ms:
+            prefix = tuple(path)
+            sols += [prefix + (m,) for m in ms]
     return SolutionSet(tuple(sols), node_count, False)
 
 

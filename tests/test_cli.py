@@ -55,6 +55,23 @@ class TestParse:
     def test_oracle_solve_sets_engine(self):
         assert parse_args(["oracle-solve", *WORKED]).engine == "oracle"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["solve", "--g", "-1"], "abmonoids solve: error: g must be non-negative\n"),
+            (["solve", "--g", "2", "--max-nodes", "0"],
+             "abmonoids solve: error: --max-nodes must be positive\n"),
+            (["tree", "--depth", "-1"], "abmonoids tree: error: --depth must be non-negative\n"),
+        ],
+    )
+    def test_checks_after_argparse_report_the_subcommand_usage(self, argv, message, capsys):
+        with pytest.raises(SystemExit) as exc:
+            parse_args(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"usage: abmonoids {argv[0]} [-h] ")
+        assert err.endswith(message)
+
 
 class TestClosureCommand:
     def test_plain(self, capsys):
@@ -165,7 +182,18 @@ class TestSolveCommand:
         code, out, err = invoke(["solve", *WORKED, "--max-nodes", "3"], capsys)
         assert code == 3
         assert out == ""
-        assert "node budget" in err
+        assert err == "error: node budget exhausted after 4 nodes; rerun with a larger --max-nodes\n"
+
+    @pytest.mark.parametrize("budget", [6, 15])
+    def test_node_budget_past_the_leaves(self, budget, capsys):
+        # in preorder, vertex 7 of WORKED's tree is a depth-6 leaf, counted
+        # but not built, and vertex 16 the last vertex, after every leaf
+        code, out, err = invoke(["solve", *WORKED, "--max-nodes", str(budget)], capsys)
+        assert (code, out) == (3, "")
+        assert err == (
+            f"error: node budget exhausted after {budget + 1} nodes; "
+            "rerun with a larger --max-nodes\n"
+        )
 
     def test_oracle_scale_limit_is_exit_3(self, capsys):
         code, out, err = invoke(
@@ -193,7 +221,7 @@ class TestTreeCommand:
     def test_budget_is_exit_3(self, capsys):
         code, _, err = invoke(["tree", *WORKED[:6], "--depth", "9", "--max-nodes", "4"], capsys)
         assert code == 3
-        assert "error" in err
+        assert err == "error: tree enumeration exceeded 4 nodes at depth 4\n"
 
 
 def test_module_entry_point():

@@ -112,6 +112,34 @@ class TestContains:
         assert 14 in s
 
 
+class TestImmutableValue:
+    def test_attributes_cannot_be_assigned(self):
+        s = from_generators({5, 7, 9})
+        with pytest.raises(AttributeError):
+            s.genus = 0
+        with pytest.raises(AttributeError):
+            s.note = "x"
+
+    def test_in_is_semigroup_membership(self):
+        # 7 is the Frobenius number, a stored field, yet a gap
+        s = from_generators({3, 5})
+        assert s.frobenius == 7
+        assert 7 not in s
+        assert 8 in s
+
+    def test_equality_and_hash_on_min_generators_alone(self):
+        s = from_generators({5, 7, 9})
+        t = from_generators({9, 7, 5, 14})
+        assert s == t and hash(s) == hash(t) == hash((5, 7, 9))
+        # the derived fields take no part in the comparison
+        other_fields = s._replace(genus=s.genus + 1)
+        assert s == other_fields and not s != other_fields
+        assert s != from_generators({5, 7, 8})
+
+    def test_repr(self):
+        assert repr(from_generators({5, 7, 9})) == "<5,7,9>"
+
+
 class TestRemoveGenerator:
     def test_update_adds_shifted_generator(self):
         s = from_generators({5, 7, 8, 9, 11})

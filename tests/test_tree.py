@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 from abmonoids import (
     ProblemInstance,
     ResourceLimitError,
+    SolutionSet,
     check_conditions,
     children,
     closure,
@@ -229,13 +230,30 @@ class TestSolve:
         assert solve(ProblemInstance(a=(1,), b=(2,), x={3}, g=0)).solutions == ((),)
 
     def test_truncation_discards_partials(self):
-        result = solve(WORKED, max_nodes=3)
-        assert result.truncated
-        assert result.solutions == ()
-        # the tree down to depth 6 has 16 vertices
+        # the tree down to depth 6 has 16 vertices, 3 of them leaves that
+        # are counted but not built; every smaller budget trips on the
+        # vertex just past it, a depth-6 leaf for k = 6, 7 and 9
+        for k in range(16):
+            result = solve(WORKED, max_nodes=k)
+            assert result.truncated, k
+            assert result.node_count == k + 1
+            assert result.solutions == ()
         assert not solve(WORKED, max_nodes=16).truncated
-        result = solve(WORKED, max_nodes=15)
-        assert result.truncated and result.node_count == 16
+
+    def test_budget_at_depth_zero_and_one(self):
+        # g = 0: the root is the only vertex and the only solution
+        inst = replace(WORKED, g=0)
+        assert solve(inst, max_nodes=1) == SolutionSet(((),), 1, False)
+        assert solve(inst, max_nodes=0) == SolutionSet((), 1, True)
+        # g = 1: the leaves hang off the root, WORKED has one
+        inst = replace(WORKED, g=1)
+        assert solve(inst, max_nodes=2) == SolutionSet(((1,),), 2, False)
+        assert solve(inst, max_nodes=1) == SolutionSet((), 2, True)
+        assert solve(inst, max_nodes=0) == SolutionSet((), 1, True)
+        free = ProblemInstance(g=1, r=2)  # root <3,4,5>, leaves <4,5,6,7>, <3,5,7>, <3,4>
+        assert solve(free) == SolutionSet(((3,), (4,), (5,)), 4, False)
+        for k in range(4):
+            assert solve(free, max_nodes=k) == SolutionSet((), k + 1, True)
 
     def test_free_tree_counts_are_a007323(self):
         # numerical semigroups of genus 0..15 (OEIS A007323); the tree down
@@ -381,6 +399,22 @@ def test_solutions_read_off_the_path_are_the_gaps_above_r():
         assert solve(inst).solutions == tuple(gaps_above(s, inst.r) for _, s in leaves), inst
 
 
+def test_solve_matches_the_deepest_level_of_the_walk():
+    # solve counts the depth-g vertices without building them; the walk
+    # behind enumerate_levels builds them, and they must agree on the
+    # solutions, the node count and the vertex a budget trips on
+    rng = random.Random(3)
+    for _ in range(150):
+        inst = random_instance(rng)
+        levels = enumerate_levels(inst, inst.g)
+        leaves = levels[inst.g] if len(levels) > inst.g else []
+        total = sum(map(len, levels))
+        want = SolutionSet(tuple(gaps_above(s, inst.r) for s in leaves), total, False)
+        assert solve(inst) == want, inst
+        for k in range(min(total, 40)):
+            assert solve(inst, max_nodes=k) == SolutionSet((), k + 1, True), (inst, k)
+
+
 def test_solve_matches_the_free_tree_reference():
     # beyond the brute-force bound r + g <= 9: the reference takes every
     # semigroup of genus r + g from the unconstrained tree, without pruning
@@ -424,6 +458,8 @@ def test_tree_expansion_goes_through_the_module_names(monkeypatch):
 
         monkeypatch.setattr(tree_module, name, counted)
     result = solve(ProblemInstance(g=8))
-    # 156 vertices down to genus 8, 67 of them at depth 8 and not expanded
+    # 156 vertices down to genus 8: solve expands the 50 at depth <= 6
+    # into vertices, and counts the 67 at depth 8 off the 39 at depth 7
+    # without building them
     assert result.node_count == 156
-    assert calls == {"children": 156 - 67, "remove_generator": 155}
+    assert calls == {"children": 50, "remove_generator": 155 - 67}
