@@ -16,7 +16,6 @@ or 64-bit overflow.  Solution listings go to stdout; the summary line
 from __future__ import annotations
 
 import argparse
-import math
 import sys
 
 from .closure import ProblemInstance, feasible, instance_closure, one_solution
@@ -129,8 +128,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
 
 def _cmd_feasible(args: argparse.Namespace) -> int:
     result = feasible(args.instance)
-    count = "inf" if math.isinf(result.gap_count) else str(result.gap_count)
-    _emit(args, f"{'yes' if result.feasible else 'no'} {count}\n")
+    _emit(args, f"{'yes' if result.feasible else 'no'} {result.gap_count}\n")
     return 0 if result.feasible else 1
 
 

@@ -95,8 +95,7 @@ class SubmonoidRep:
     base: NumericalSemigroup
 
     def contains(self, v: int) -> bool:
-        if v < 0:
-            return False
+        # a negative v fails in base, since v // d < 0
         return v % self.d == 0 and self.base.contains(v // self.d)
 
     def expanded_generators(self) -> tuple[int, ...]:
@@ -104,18 +103,16 @@ class SubmonoidRep:
         return tuple(self.d * g for g in self.base.min_generators)
 
 
-def _worklist_closure(a, b, seed):
+def _worklist_closure(a, b, seed) -> NumericalSemigroup:
     """Run the worklist pass; gcd(seed + b) must already be 1.
 
     One Apéry table modulo the smallest seed value, the multiplicity of
     the result since every affine image is larger, tracks the generated
-    monoid; each new generator is adjoined to it in place.  Returns
-    (semigroup, provenance): provenance maps each generator to None (seed
-    element) or to the pair (m, i) whose affine image produced it, and
-    every generator in it has been processed when the worklist empties.
+    monoid; each new generator is adjoined to it in place.  The values
+    adjoined, seeds and affine images alike, include every minimal generator.
     """
     pending = sorted(set(seed), reverse=True)  # popped smallest first
-    provenance: dict[int, tuple[int, int] | None] = dict.fromkeys(pending)
+    adjoined = set(pending)
     n1 = pending[-1]
     # The first step's images are checked before the table is sized, so an
     # out-of-range seed reports overflow rather than the table cap.
@@ -128,42 +125,35 @@ def _worklist_closure(a, b, seed):
     while pending:
         m = pending.pop()
         fresh = []
-        for i, (ai, bi) in enumerate(zip(a, b)):
+        for ai, bi in zip(a, b):
             v = _affine_value(ai, m, bi)
             if v < ap[v % n1]:
                 add_generator(ap, v)
-                provenance[v] = (m, i)
                 fresh.append(v)
         if fresh:
-            if len(provenance) > DEFAULT_MAX_GENERATORS:
+            adjoined.update(fresh)
+            if len(adjoined) > DEFAULT_MAX_GENERATORS:
                 raise ResourceLimitError(
                     f"closure generator set exceeded {DEFAULT_MAX_GENERATORS} elements",
-                    node_count=len(provenance),
+                    node_count=len(adjoined),
                 )
             pending = sorted(pending + fresh, reverse=True)
-    return from_apery(ap, provenance), provenance
+    return from_apery(ap, adjoined)
 
 
 def closure(a, b, x) -> SubmonoidRep:
     """Smallest (a, b)-monoid containing the non-empty finite set ``x``.
 
     Returned in scaled form: with d = gcd(x + b), the monoid equals
-    d times a numerical semigroup computed on the divided data.  A closure
-    with more than ``DEFAULT_MAX_GENERATORS`` generators raises
-    ResourceLimitError.
+    d times a numerical semigroup computed on the divided data.  The input
+    is checked as a ``ProblemInstance``; a closure with more than
+    ``DEFAULT_MAX_GENERATORS`` generators raises ResourceLimitError.
     """
-    a = tuple(a)
-    b = tuple(b)
-    xs = sorted(set(x))
-    if not xs:
+    inst = ProblemInstance(a=a, b=b, x=x)
+    if not inst.x:
         raise ValueError("x must be non-empty (the empty seed closes to the zero monoid)")
-    if len(a) != len(b):
-        raise ValueError(f"a and b must have the same length, got {len(a)} and {len(b)}")
-    if any(v < 1 for v in a + b) or xs[0] < 1:
-        raise ValueError("a, b and x entries must be positive integers")
-
-    d = math.gcd(*xs, *b)
-    base, _ = _worklist_closure(a, tuple(v // d for v in b), [v // d for v in xs])
+    d = math.gcd(*inst.x, *inst.b)
+    base = _worklist_closure(inst.a, tuple(v // d for v in inst.b), [v // d for v in inst.x])
     return SubmonoidRep(d=d, base=base)
 
 

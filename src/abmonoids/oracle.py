@@ -54,7 +54,7 @@ def _sum_condition_holds(cset: set[int], lo: int, top: int) -> bool:
     return True
 
 
-def oracle_solve(inst: ProblemInstance, *, universe_extension: int = 0) -> SolutionSet:
+def oracle_solve(inst: ProblemInstance) -> SolutionSet:
     """Every solution, by exhaustive enumeration of a finite candidate space.
 
     A solution C has complement S = {0, r+1, ->} \\ C that is a numerical
@@ -66,16 +66,14 @@ def oracle_solve(inst: ProblemInstance, *, universe_extension: int = 0) -> Solut
     C is a gap of S, hence max(C) <= 2*(r+g) - 1 and it suffices to
     enumerate g-element subsets of {r+1, ..., 2*(r+g) - 1}.
 
-    ``universe_extension`` widens that range; tests use it to confirm
-    empirically that the bound loses nothing.  An instance with r + g above
-    ``DEFAULT_SCALE_BOUND`` raises ResourceLimitError.
+    An instance with r + g above ``DEFAULT_SCALE_BOUND`` raises
+    ResourceLimitError.
     """
     if inst.r + inst.g > DEFAULT_SCALE_BOUND:
         raise ResourceLimitError(
             f"r + g = {inst.r + inst.g} exceeds the brute-force bound {DEFAULT_SCALE_BOUND}"
         )
-    hi = 2 * (inst.r + inst.g) - 1 + universe_extension
-    universe = range(inst.r + 1, hi + 1)
+    universe = range(inst.r + 1, 2 * (inst.r + inst.g))
     examined = 0
     sols = []
     for combo in combinations(universe, inst.g):

@@ -144,6 +144,13 @@ def from_apery(ap: list, candidates: Iterable[int]) -> NumericalSemigroup:
     )
 
 
+def ray(m: int) -> NumericalSemigroup:
+    """{0, m, m+1, ...} in O(m): generators m..2m-1, Apéry set (0, m+1, ..., 2m-1)."""
+    ap = apery_table(m)
+    ap[1:] = range(m + 1, 2 * m)
+    return NumericalSemigroup(tuple(range(m, 2 * m)), tuple(ap), ap[-1] - m, m - 1)
+
+
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     """Canonical numerical semigroup generated by ``gens``.
 
@@ -188,19 +195,16 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     n1 = gens[0]
     if m == n1:
         # m > frobenius forces s == {0, m, ->}; dropping m leaves {0, m+1, ->}.
-        new_gens = tuple(range(m + 1, 2 * m + 2))
-        apery = (0,) + tuple(range(m + 2, 2 * m + 2))
+        return ray(m + 1)
+    i = gens.index(m)
+    new_gens = gens[:i] + gens[i + 1:]
+    ap = list(s.apery)
+    for g in gens[1:i]:
+        c = m + n1 - g
+        if c >= ap[c % n1]:
+            break
     else:
-        i = gens.index(m)
-        new_gens = gens[:i] + gens[i + 1:]
-        ap = list(s.apery)
-        for g in gens[1:i]:
-            c = m + n1 - g
-            if c >= ap[c % n1]:
-                break
-        else:
-            # appending keeps the order: each generator g has g - n1 <= frobenius < m
-            new_gens += (m + n1,)
-        ap[m % n1] = m + n1
-        apery = tuple(ap)
-    return NumericalSemigroup(new_gens, apery, m, s.genus + 1)
+        # appending keeps the order: each generator g has g - n1 <= frobenius < m
+        new_gens += (m + n1,)
+    ap[m % n1] = m + n1
+    return NumericalSemigroup(new_gens, tuple(ap), m, s.genus + 1)

@@ -16,11 +16,11 @@ the size-g problem are the complements of the depth-g vertices inside
 gaps above r in increasing order, so a preorder walk that visits children
 ascending lists each depth in lexicographic order of those gaps: the
 breadth-first order.  The walk holds the pending siblings of one path,
-never a whole level, and solutions are read from the path: each removed
-generator is the Frobenius number of the vertex it leads to.  ``solve``
-therefore never builds a depth-g vertex: below each vertex at depth
-g - 1 it only lists the admissible generators (``admissible``), and
-each one completes a path into a solution.
+never a whole level, and yields bare vertices; parents and solutions are
+read off the path: each removed generator is the Frobenius number of the
+vertex it leads to.  ``solve`` therefore never builds a depth-g vertex:
+below each vertex at depth g - 1 it only lists the admissible generators
+(``admissible``), and each one completes a path into a solution.
 """
 
 from __future__ import annotations
@@ -30,7 +30,8 @@ from typing import Iterator
 
 from .closure import ProblemInstance
 from .errors import ResourceLimitError
-from .semigroup import NumericalSemigroup, from_generators, remove_generator
+from .semigroup import NumericalSemigroup, ray, remove_generator
+from .semigroup import from_generators  # noqa: F401  (the benchmark's tracer wraps this name here)
 
 DEFAULT_NODE_BUDGET = 10**6
 
@@ -46,7 +47,7 @@ class SolutionSet:
 
 def variety_root(r: int) -> NumericalSemigroup:
     """The maximum admissible semigroup {0, r+1, ->} (all integers when r=0)."""
-    return from_generators(range(r + 1, 2 * r + 2))
+    return ray(r + 1)
 
 
 def admissible(s: NumericalSemigroup, inst: ProblemInstance) -> list[int]:
@@ -77,29 +78,31 @@ def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemi
 
 def _walk(
     inst: ProblemInstance, depth_limit: int, *, max_nodes: int
-) -> Iterator[tuple[NumericalSemigroup | None, NumericalSemigroup]]:
-    """(parent, vertex) pairs of the tree down to depth_limit, in preorder.
+) -> Iterator[NumericalSemigroup]:
+    """The vertices of the tree down to depth_limit, in preorder.
 
-    The root comes with parent None.  Raises ResourceLimitError on vertex
-    max_nodes + 1, since a truncated enumeration cannot certify a complete
-    answer.
+    A vertex's parent is the last one yielded a depth above it.  Raises
+    ResourceLimitError on vertex max_nodes + 1, since a truncated
+    enumeration cannot certify a complete answer.
     """
     if depth_limit < 0:
         raise ValueError("depth_limit must be non-negative")
+    if max_nodes < 0:
+        raise ValueError("max_nodes must be non-negative")
     max_genus = inst.r + depth_limit
     # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
-    stack = [(None, variety_root(inst.r))]
+    stack = [variety_root(inst.r)]
     count = 0
     while stack:
-        parent, s = stack.pop()
+        s = stack.pop()
         count += 1
         if count > max_nodes:
             depth = s.genus - inst.r
             msg = f"tree enumeration exceeded {max_nodes} nodes at depth {depth}"
             raise ResourceLimitError(msg, node_count=count, depth=depth)
-        yield parent, s
+        yield s
         if s.genus < max_genus:
-            stack.extend((s, child) for child in reversed(children(s, inst)))
+            stack += reversed(children(s, inst))
 
 
 def enumerate_levels(
@@ -110,7 +113,7 @@ def enumerate_levels(
     Ends early at the last non-empty depth when the tree is exhausted.
     """
     levels: list[list[NumericalSemigroup]] = []
-    for _, s in _walk(inst, depth_limit, max_nodes=max_nodes):
+    for s in _walk(inst, depth_limit, max_nodes=max_nodes):
         depth = s.genus - inst.r
         if depth == len(levels):  # preorder reaches depth k after depth k - 1
             levels.append([])
@@ -129,6 +132,8 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     kept: the result has an empty solution list, the truncated flag set
     and ``max_nodes + 1`` nodes, the vertex the budget tripped on.
     """
+    if max_nodes < 0:  # _walk's own check would see max_nodes + 1
+        raise ValueError("max_nodes must be non-negative")
     if not inst.g:  # the root is the one depth-0 vertex, with no gaps above r
         return SolutionSet(((),), 1, False) if max_nodes >= 1 else SolutionSet((), 1, True)
     sols = []
@@ -137,7 +142,7 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     last = inst.g - 1
     # _walk counts only the vertices above depth g, never more than
     # node_count, so its budget of max_nodes + 1 cannot trip first
-    for _, s in _walk(inst, last, max_nodes=max_nodes + 1):
+    for s in _walk(inst, last, max_nodes=max_nodes + 1):
         depth = s.genus - inst.r
         if depth:
             path[depth - 1:] = [s.frobenius]
@@ -160,10 +165,14 @@ def export_tree(
     breadth-first order; edges follow in breadth-first order of the
     child.  The text is byte-stable for identical inputs.
     """
+    path, tails = [], []
+    for s in _walk(inst, depth_limit, max_nodes=max_nodes):
+        path[s.genus - inst.r:] = [s]
+        tails.append(path[-2:])  # [parent, vertex], or [root] alone
     # a stable sort, since preorder within one depth is breadth-first order
-    pairs = sorted(_walk(inst, depth_limit, max_nodes=max_nodes), key=lambda p: p[1].genus)
+    tails.sort(key=lambda t: t[-1].genus)
     lines = ["digraph variety {"]
-    lines += [f'  "{s!r}";' for _, s in pairs]
-    lines += [f'  "{parent!r}" -> "{s!r}";' for parent, s in pairs if parent is not None]
+    lines += [f'  "{t[-1]!r}";' for t in tails]
+    lines += [f'  "{parent!r}" -> "{s!r}";' for parent, s in tails[1:]]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -1,5 +1,6 @@
 import importlib
 import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,6 @@ from abmonoids import (
     instance_closure,
     one_solution,
 )
-from abmonoids.closure import _worklist_closure
 
 from conftest import is_affine_closed, saturated_members
 
@@ -81,6 +81,22 @@ class TestClosure:
     def test_mismatched_tuples_rejected(self):
         with pytest.raises(ValueError, match="a and b must have the same length, got 2 and 1"):
             closure((1, 2), (4,), {5})
+
+    @pytest.mark.parametrize(
+        "a, b, x, message",
+        [
+            ((1,), (1,), {0, 5}, "x must be a subset of {1, 2, ...}"),
+            ((0,), (1,), {5}, "entries of a and b must be positive integers"),
+            ((1, 2), (1,), {5}, "a and b must have the same length, got 2 and 1"),
+            ((1,), (1,), set(), "x must be non-empty (the empty seed closes to the zero monoid)"),
+        ],
+    )
+    def test_input_errors(self, a, b, x, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            closure(a, b, x)
+
+    def test_lists_accepted(self):
+        assert closure([2, 3], [4, 2], [6, 8]) == closure((2, 3), (4, 2), (6, 8))
 
     def test_overflow_guard(self):
         with pytest.raises(Int64OverflowError):
@@ -268,18 +284,20 @@ def test_closure_commutes_with_scaling_up(inst, k):
 @given(small_instances(min_x=1))
 @settings(max_examples=80, deadline=None)
 def test_worklist_provenance_chain(inst):
-    d = math.gcd(*inst.x, *inst.b)
-    bs = tuple(v // d for v in inst.b)
-    xs = sorted(v // d for v in inst.x)
-    base, provenance = _worklist_closure(inst.a, bs, xs)
-    assert set(base.min_generators) <= set(provenance)
-    for gen, src in provenance.items():
-        if src is None:
-            assert gen in xs
-        else:
-            m, i = src
-            assert gen == inst.a[i] * m + bs[i]
-            assert m in provenance
+    # every minimal generator is a divided seed value or the affine image of
+    # a smaller positive member; by induction on the generators, ascending,
+    # each lies in every (a, b)-monoid holding the seed, so with containment
+    # and closedness the closure is the smallest one
+    rep = closure(inst.a, inst.b, inst.x)
+    bs = tuple(v // rep.d for v in inst.b)
+    xs = {v // rep.d for v in inst.x}
+    gens = rep.base.min_generators
+    assert all(rep.base.contains(v) for v in xs)
+    assert is_affine_closed(gens, inst.a, bs)
+    positive = saturated_members(gens, max(gens)) - {0}
+    images = {ai * p + bi for ai, bi in zip(inst.a, bs) for p in positive}
+    for n in gens:
+        assert n in xs or n in images, (inst, n)
 
 
 @given(small_instances())

@@ -1,4 +1,5 @@
 import importlib
+from itertools import combinations
 from math import comb
 
 import pytest
@@ -99,7 +100,7 @@ def test_sum_condition_is_complement_closure(cand, r):
 def test_universe_bound_loses_nothing():
     # widening the candidate range beyond 2*(r+g)-1 never finds more solutions
     for inst in instance_corpus(60):
-        assert (
-            oracle_solve(inst).solutions
-            == oracle_solve(inst, universe_extension=5).solutions
+        wider = combinations(range(inst.r + 1, 2 * (inst.r + inst.g) + 5), inst.g)
+        assert oracle_solve(inst).solutions == tuple(
+            c for c in wider if check_conditions(c, inst)
         )

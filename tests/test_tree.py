@@ -23,6 +23,7 @@ from abmonoids import (
     solve,
     variety_root,
 )
+from abmonoids.semigroup import MAX_TABLE_SIZE
 
 from conftest import (
     A007323,
@@ -105,6 +106,15 @@ class TestVarietyRoot:
         assert root.gaps == (1, 2, 3)
         assert root.genus == 3
 
+    def test_fields_match_from_generators(self):
+        # == compares only the minimal generators, so compare every field
+        for r in range(60):
+            assert tuple(variety_root(r)) == tuple(from_generators(range(r + 1, 2 * r + 2))), r
+
+    def test_multiplicity_above_the_table_cap_refused(self):
+        with pytest.raises(ResourceLimitError, match=f"exceed {MAX_TABLE_SIZE} entries for multiplicity {MAX_TABLE_SIZE + 1}$"):
+            solve(ProblemInstance(g=1, r=MAX_TABLE_SIZE))
+
 
 class TestChildren:
     def test_two_children(self):
@@ -175,16 +185,39 @@ class TestEnumerate:
 
     def test_node_budget(self):
         # WORKED has 18 vertices: every smaller budget trips on the vertex
-        # just past it, and a budget of 18 answers
+        # just past it, at that vertex's depth, and a budget of 18 answers
+        def preorder_depths(s, depth):
+            yield depth
+            for child in children(s, WORKED):
+                yield from preorder_depths(child, depth + 1)
+
+        depths = list(preorder_depths(variety_root(0), 0))
+        assert len(depths) == 18
         for k in range(18):
             with pytest.raises(ResourceLimitError, match=f"exceeded {k} nodes at depth") as exc:
                 enumerate_levels(WORKED, 20, max_nodes=k)
             assert exc.value.node_count == k + 1
+            assert exc.value.depth == depths[k]
         assert sum(map(len, enumerate_levels(WORKED, 20, max_nodes=18))) == 18
 
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="depth_limit must be non-negative"):
             enumerate_levels(WORKED, -1)
+
+
+@pytest.mark.parametrize("g", [0, 6])
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda inst: solve(inst, max_nodes=-1),
+        lambda inst: enumerate_levels(inst, inst.g, max_nodes=-1),
+        lambda inst: export_tree(inst, inst.g, max_nodes=-1),
+    ],
+    ids=["solve", "enumerate_levels", "export_tree"],
+)
+def test_negative_node_budget_rejected(run, g):
+    with pytest.raises(ValueError, match="^max_nodes must be non-negative$"):
+        run(replace(WORKED, g=g))
 
 
 class TestSolve:
