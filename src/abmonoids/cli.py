@@ -8,8 +8,8 @@ Commands
   oracle-solve  like solve, using the brute-force engine
   tree          write the admissible-semigroup tree as DOT
 
-Exit codes: 0 success, 1 infeasible/no, 2 usage error, 3 resource limit
-or 64-bit overflow.  Solution listings go to stdout; the summary line
+Exit codes: 0 success, 1 infeasible/no, 2 usage error or unwritable
+--out path, 3 resource limit or 64-bit overflow.  Solution listings go to stdout; the summary line
 ``# solutions=N nodes=M`` goes to stderr so stdout stays diffable.
 """
 
@@ -102,12 +102,18 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _emit(args: argparse.Namespace, text: str) -> int:
+    """Write ``text`` to --out or stdout: 0, or the usage code 2 when --out fails."""
     if args.out is None:
         sys.stdout.write(text)
-    else:
+        return 0
+    try:
         with open(args.out, "w") as fh:
             fh.write(text)
+    except OSError as err:
+        print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _format_solution(sol: tuple[int, ...]) -> str:
@@ -117,19 +123,17 @@ def _format_solution(sol: tuple[int, ...]) -> str:
 def _cmd_closure(args: argparse.Namespace) -> int:
     monoid = instance_closure(args.instance)
     if monoid is None:
-        _emit(args, "d=1 M=<>\n")
-        return 0
+        return _emit(args, "d=1 M=<>\n")
     line = f"d={monoid.d} M=<{','.join(map(str, monoid.base.min_generators))}>"
     if monoid.d > 1:
         line += f" expanded=<{','.join(map(str, monoid.expanded_generators()))}>"
-    _emit(args, line + "\n")
-    return 0
+    return _emit(args, line + "\n")
 
 
 def _cmd_feasible(args: argparse.Namespace) -> int:
     result = feasible(args.instance)
-    _emit(args, f"{'yes' if result.feasible else 'no'} {result.gap_count}\n")
-    return 0 if result.feasible else 1
+    code = _emit(args, f"{'yes' if result.feasible else 'no'} {result.gap_count}\n")
+    return code or (0 if result.feasible else 1)
 
 
 def _cmd_one(args: argparse.Namespace) -> int:
@@ -138,8 +142,7 @@ def _cmd_one(args: argparse.Namespace) -> int:
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 1
-    _emit(args, _format_solution(sol) + "\n")
-    return 0
+    return _emit(args, _format_solution(sol) + "\n")
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
@@ -155,14 +158,14 @@ def _cmd_solve(args: argparse.Namespace) -> int:
             )
             return 3
     payload = "".join(_format_solution(sol) + "\n" for sol in result.solutions)
-    _emit(args, payload)
-    print(f"# solutions={len(result.solutions)} nodes={result.node_count}", file=sys.stderr)
-    return 0
+    code = _emit(args, payload)
+    if not code:
+        print(f"# solutions={len(result.solutions)} nodes={result.node_count}", file=sys.stderr)
+    return code
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
-    _emit(args, export_tree(args.instance, args.depth, max_nodes=args.max_nodes))
-    return 0
+    return _emit(args, export_tree(args.instance, args.depth, max_nodes=args.max_nodes))
 
 
 _COMMANDS = {

@@ -172,19 +172,40 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     return from_apery(ap, gen_list)
 
 
+def generators_after(s: NumericalSemigroup, m: int) -> tuple[int, ...]:
+    """The minimal generators above ``m`` of ``s`` minus ``m``, for a minimal
+    generator m > frobenius, ascending.
+
+    They are read off ``s`` without building the smaller semigroup: its
+    members are those of ``s`` except m, so they are the generators of ``s``
+    above m, plus ``m + multiplicity`` unless some smaller generator ``n_j``
+    has ``m + multiplicity - n_j`` in ``s``.  Removing the multiplicity
+    only happens when ``s`` is ``{0, m, m+1, ...}``, which leaves the ray
+    generated by m+1..2m+1.
+    """
+    gens = s.min_generators
+    n1 = gens[0]
+    if m == n1:
+        return tuple(range(m + 1, 2 * m + 2))
+    ap = s.apery
+    i = gens.index(m)
+    for g in gens[1:i]:
+        c = m + n1 - g
+        if c >= ap[c % n1]:
+            return gens[i + 1:]
+    # appending keeps the order: each generator g has g - n1 <= frobenius < m
+    return gens[i + 1:] + (m + n1,)
+
+
 def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     """The semigroup ``s`` minus the minimal generator ``m``, for m > frobenius.
 
     The removal keeps every other element, so the result has Frobenius
-    number ``m`` and one more gap.  Its minimal generators are updated
-    incrementally instead of being recomputed from scratch: removing the
-    multiplicity only happens when the semigroup is ``{0, m, m+1, ...}``
-    and shifts the whole ray; otherwise either the remaining generators
-    still generate, or ``m + multiplicity`` becomes the one new minimal
-    generator, depending on whether some smaller generator ``n_j`` has
-    ``m + multiplicity - n_j`` in ``s``, read off the copied Apéry set.
-    The Apéry element of m's residue moves from m to m + multiplicity, the
-    smallest member left there.
+    number ``m`` and one more gap.  Its minimal generators are the
+    generators of ``s`` below m followed by ``generators_after(s, m)``;
+    removing the multiplicity shifts the whole ray and changes the
+    modulus.  Otherwise the Apéry element of m's residue moves from m to
+    m + multiplicity, the smallest member left there.
     """
     gens = s.min_generators
     if m not in gens:
@@ -196,15 +217,7 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     if m == n1:
         # m > frobenius forces s == {0, m, ->}; dropping m leaves {0, m+1, ->}.
         return ray(m + 1)
-    i = gens.index(m)
-    new_gens = gens[:i] + gens[i + 1:]
     ap = list(s.apery)
-    for g in gens[1:i]:
-        c = m + n1 - g
-        if c >= ap[c % n1]:
-            break
-    else:
-        # appending keeps the order: each generator g has g - n1 <= frobenius < m
-        new_gens += (m + n1,)
     ap[m % n1] = m + n1
+    new_gens = gens[:gens.index(m)] + generators_after(s, m)
     return NumericalSemigroup(new_gens, tuple(ap), m, s.genus + 1)

@@ -18,9 +18,11 @@ ascending lists each depth in lexicographic order of those gaps: the
 breadth-first order.  The walk holds the pending siblings of one path,
 never a whole level, and yields bare vertices; parents and solutions are
 read off the path: each removed generator is the Frobenius number of the
-vertex it leads to.  ``solve`` therefore never builds a depth-g vertex:
-below each vertex at depth g - 1 it only lists the admissible generators
-(``admissible``), and each one completes a path into a solution.
+vertex it leads to.  ``solve`` therefore reads the vertices at depths
+g - 1 and g off their depth-(g - 2) ancestor S without building them:
+S \\ {m} has S's members except m, so ``admissible`` can test its
+generators, listed by ``generators_after``, against S's own table, and
+each pair of removals completes a path into a solution.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Iterator
 
 from .closure import ProblemInstance
 from .errors import ResourceLimitError
-from .semigroup import NumericalSemigroup, ray, remove_generator
+from .semigroup import NumericalSemigroup, generators_after, ray, remove_generator
 from .semigroup import from_generators  # noqa: F401  (the benchmark's tracer wraps this name here)
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -50,21 +52,29 @@ def variety_root(r: int) -> NumericalSemigroup:
     return ray(r + 1)
 
 
-def admissible(s: NumericalSemigroup, inst: ProblemInstance) -> list[int]:
-    """The generators whose removal from s is admissible, ascending."""
-    ap = s.apery
+def admissible(
+    gens: tuple[int, ...], ap: tuple[int, ...], f: int, inst: ProblemInstance
+) -> list[int]:
+    """The generators in ``gens`` above ``f`` whose removal is admissible, ascending.
+
+    The semigroup tested has the members ``x >= ap[x % len(ap)]`` except
+    ``f``, its Frobenius number.  Called with a vertex's own fields, f is a
+    gap already and this tests the vertex.  Called with a parent's table, a
+    generator m it removes as f and ``generators_after(parent, m)``, it
+    tests the child without building it.  A generator is kept when it is
+    not a seed value and no affine preimage is a positive member.
+    """
     n1 = len(ap)
-    f = s.frobenius
     maps = tuple(zip(inst.a, inst.b))
     out = []
-    for m in s.min_generators:
+    for m in gens:
         if m <= f or m in inst.x:
             continue
         for ai, bi in maps:
             q = m - bi
             if q > 0 and not q % ai:
                 p = q // ai
-                if p >= ap[p % n1]:  # the preimage p is a positive member of s
+                if p >= ap[p % n1] and p != f:  # the preimage p is a positive member
                     break
         else:
             out.append(m)
@@ -73,7 +83,8 @@ def admissible(s: NumericalSemigroup, inst: ProblemInstance) -> list[int]:
 
 def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemigroup]:
     """Admissible single-generator removals, ascending by removed generator."""
-    return [remove_generator(s, m) for m in admissible(s, inst)]
+    ms = admissible(s.min_generators, s.apery, s.frobenius, inst)
+    return [remove_generator(s, m) for m in ms]
 
 
 def _walk(
@@ -125,12 +136,15 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     """All solutions of the instance, read off the paths to the depth-g vertices:
     the Frobenius numbers at depths 1..g of a path are its leaf's gaps above r.
 
-    The depth-g vertices are counted but not built: a vertex at depth
-    g - 1 contributes one solution ``path + (m,)`` per admissible
-    generator m.  They still count against the budget in preorder, right
-    after their parent.  On hitting the node budget no partial answer is
-    kept: the result has an empty solution list, the truncated flag set
-    and ``max_nodes + 1`` nodes, the vertex the budget tripped on.
+    The vertices at depths g - 1 and g are read off their depth-(g - 2)
+    ancestor S and never built: each admissible generator m of S is a
+    depth-(g - 1) vertex S \\ {m}, and each admissible generator v of
+    that one, listed from S's table, completes the solution
+    ``path + (m, v)``.  For g = 1 the leaves hang off the root.  Unbuilt
+    vertices still count against the budget in preorder.  On hitting the
+    node budget no partial answer is kept: the result has an empty
+    solution list, the truncated flag set and ``max_nodes + 1`` nodes, the
+    vertex the budget tripped on.
     """
     if max_nodes < 0:  # _walk's own check would see max_nodes + 1
         raise ValueError("max_nodes must be non-negative")
@@ -139,20 +153,29 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     sols = []
     path: list[int] = []
     node_count = 0
-    last = inst.g - 1
-    # _walk counts only the vertices above depth g, never more than
+    last = max(inst.g - 2, 0)
+    # _walk counts only the vertices it builds, never more than
     # node_count, so its budget of max_nodes + 1 cannot trip first
     for s in _walk(inst, last, max_nodes=max_nodes + 1):
         depth = s.genus - inst.r
         if depth:
             path[depth - 1:] = [s.frobenius]
-        ms = admissible(s, inst) if depth == last else ()
-        node_count += 1 + len(ms)
+        node_count += 1
+        if depth == last:
+            ap = s.apery
+            ms = admissible(s.min_generators, ap, s.frobenius, inst)
+            node_count += len(ms)
+            if inst.g == 1:
+                sols += [(m,) for m in ms]
+            else:
+                prefix = tuple(path)
+                for m in ms:
+                    vs = admissible(generators_after(s, m), ap, m, inst)
+                    node_count += len(vs)
+                    head = prefix + (m,)
+                    sols += [head + (v,) for v in vs]
         if node_count > max_nodes:
             return SolutionSet((), max_nodes + 1, True)
-        if ms:
-            prefix = tuple(path)
-            sols += [prefix + (m,) for m in ms]
     return SolutionSet(tuple(sols), node_count, False)
 
 

@@ -224,6 +224,31 @@ class TestTreeCommand:
         assert err == "error: tree enumeration exceeded 4 nodes at depth 4\n"
 
 
+class TestOutPath:
+    def test_solve_writes_the_payload(self, tmp_path, capsys):
+        target = tmp_path / "x"
+        code, out, err = invoke(["solve", *WORKED, "--out", str(target)], capsys)
+        assert (code, out, err) == (0, "", "# solutions=3 nodes=16\n")
+        assert target.read_text() == "1,2,3,4,6,7\n1,2,3,4,6,8\n1,2,3,4,7,8\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["solve", *WORKED],
+            ["closure", *WORKED[:6]],
+            ["feasible", *WORKED],
+            ["feasible", *WORKED, "--r", "3"],  # a "no" that cannot be written is a usage error
+            ["one", *WORKED],
+            ["tree", *WORKED[:6], "--depth", "1"],
+        ],
+    )
+    def test_unwritable_path_is_exit_2(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "x"
+        code, out, err = invoke([*argv, "--out", str(target)], capsys)
+        message = f"error: cannot write {target}: No such file or directory\n"
+        assert (code, out, err) == (2, "", message)
+
+
 def test_module_entry_point():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")

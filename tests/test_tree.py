@@ -23,7 +23,8 @@ from abmonoids import (
     solve,
     variety_root,
 )
-from abmonoids.semigroup import MAX_TABLE_SIZE
+from abmonoids.semigroup import MAX_TABLE_SIZE, generators_after
+from abmonoids.tree import admissible
 
 from conftest import (
     A007323,
@@ -263,9 +264,9 @@ class TestSolve:
         assert solve(ProblemInstance(a=(1,), b=(2,), x={3}, g=0)).solutions == ((),)
 
     def test_truncation_discards_partials(self):
-        # the tree down to depth 6 has 16 vertices, 3 of them leaves that
-        # are counted but not built; every smaller budget trips on the
-        # vertex just past it, a depth-6 leaf for k = 6, 7 and 9
+        # the tree down to depth 6 has 16 vertices, the 7 at depths 5 and 6
+        # counted but not built; every smaller budget trips on the vertex
+        # just past it, a depth-6 leaf for k = 6, 7 and 9
         for k in range(16):
             result = solve(WORKED, max_nodes=k)
             assert result.truncated, k
@@ -287,6 +288,13 @@ class TestSolve:
         assert solve(free) == SolutionSet(((3,), (4,), (5,)), 4, False)
         for k in range(4):
             assert solve(free, max_nodes=k) == SolutionSet((), k + 1, True)
+        # g = 2: depths 1 and 2 are both read off the root
+        worked = SolutionSet(((1, 2), (1, 3)), 4, False)  # <1>, <2,3>, <3,4,5>, <2,5>
+        free = SolutionSet(((3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7)), 10, False)
+        for inst, want in [(replace(WORKED, g=2), worked), (ProblemInstance(g=2, r=2), free)]:
+            assert solve(inst) == want
+            for k in range(want.node_count):
+                assert solve(inst, max_nodes=k) == SolutionSet((), k + 1, True), (inst, k)
 
     def test_free_tree_counts_are_a007323(self):
         # numerical semigroups of genus 0..15 (OEIS A007323); the tree down
@@ -477,6 +485,18 @@ def test_children_match_the_defining_conditions():
                 assert [c.frobenius for c in children(s, inst)] == want, (inst, s)
 
 
+def test_look_ahead_matches_the_built_child():
+    # admissible() tests a child from its parent's table, with the removed
+    # generator as the Frobenius number; it must agree with the built child
+    for inst in instance_corpus(200):
+        for level in bfs_levels(inst, inst.g + 2):
+            for _, s in level:
+                for t in children(s, inst):
+                    m = t.frobenius
+                    want = admissible(t.min_generators, t.apery, t.frobenius, inst)
+                    assert admissible(generators_after(s, m), s.apery, m, inst) == want, (inst, s, m)
+
+
 def test_tree_expansion_goes_through_the_module_names(monkeypatch):
     # bench/tracing.py times the tree layers by rebinding these names in
     # abmonoids.tree; an engine that bypasses them would report no spans
@@ -491,8 +511,8 @@ def test_tree_expansion_goes_through_the_module_names(monkeypatch):
 
         monkeypatch.setattr(tree_module, name, counted)
     result = solve(ProblemInstance(g=8))
-    # 156 vertices down to genus 8: solve expands the 50 at depth <= 6
-    # into vertices, and counts the 67 at depth 8 off the 39 at depth 7
-    # without building them
+    # 156 vertices down to genus 8: solve builds the 50 at depth <= 6,
+    # expanding the 27 at depth <= 5, and reads the 39 at depth 7 and the
+    # 67 at depth 8 off the 23 at depth 6 without building them
     assert result.node_count == 156
-    assert calls == {"children": 50, "remove_generator": 155 - 67}
+    assert calls == {"children": 27, "remove_generator": 50 - 1}
