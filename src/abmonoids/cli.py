@@ -157,7 +157,10 @@ def _cmd_solve(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 3
-    payload = "".join(_format_solution(sol) + "\n" for sol in result.solutions)
+    sols = result.solutions
+    # one digit string per value up to the largest, each solution ascending
+    digits = [str(v) for v in range(max((sol[-1] for sol in sols if sol), default=0) + 1)]
+    payload = "".join(",".join([digits[v] for v in sol]) + "\n" for sol in sols)
     code = _emit(args, payload)
     if not code:
         print(f"# solutions={len(result.solutions)} nodes={result.node_count}", file=sys.stderr)

@@ -172,22 +172,21 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     return from_apery(ap, gen_list)
 
 
-def generators_after(s: NumericalSemigroup, m: int) -> tuple[int, ...]:
-    """The minimal generators above ``m`` of ``s`` minus ``m``, for a minimal
-    generator m > frobenius, ascending.
+def generators_after(gens: tuple[int, ...], ap, m: int) -> tuple[int, ...]:
+    """The minimal generators above ``m`` of S minus ``m``, ascending, where S
+    is the semigroup with minimal generators ``gens`` and Apéry table ``ap``
+    and m is one of its generators above its Frobenius number.
 
-    They are read off ``s`` without building the smaller semigroup: its
-    members are those of ``s`` except m, so they are the generators of ``s``
-    above m, plus ``m + multiplicity`` unless some smaller generator ``n_j``
-    has ``m + multiplicity - n_j`` in ``s``.  Removing the multiplicity
-    only happens when ``s`` is ``{0, m, m+1, ...}``, which leaves the ray
-    generated by m+1..2m+1.
+    They are read off S without building the smaller semigroup: its
+    members are those of S except m, so they are the generators of S above
+    m, plus ``m + multiplicity`` unless some smaller generator ``n_j`` has
+    ``m + multiplicity - n_j`` in S.  Removing the multiplicity only
+    happens when S is ``{0, m, m+1, ...}``, which leaves the ray generated
+    by m+1..2m+1.
     """
-    gens = s.min_generators
     n1 = gens[0]
     if m == n1:
         return tuple(range(m + 1, 2 * m + 2))
-    ap = s.apery
     i = gens.index(m)
     for g in gens[1:i]:
         c = m + n1 - g
@@ -202,7 +201,7 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
 
     The removal keeps every other element, so the result has Frobenius
     number ``m`` and one more gap.  Its minimal generators are the
-    generators of ``s`` below m followed by ``generators_after(s, m)``;
+    generators of ``s`` below m followed by ``generators_after``;
     removing the multiplicity shifts the whole ray and changes the
     modulus.  Otherwise the Apéry element of m's residue moves from m to
     m + multiplicity, the smallest member left there.
@@ -219,5 +218,5 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
         return ray(m + 1)
     ap = list(s.apery)
     ap[m % n1] = m + n1
-    new_gens = gens[:gens.index(m)] + generators_after(s, m)
+    new_gens = gens[:gens.index(m)] + generators_after(gens, s.apery, m)
     return NumericalSemigroup(new_gens, tuple(ap), m, s.genus + 1)

@@ -15,14 +15,25 @@ the size-g problem are the complements of the depth-g vertices inside
 {0, r+1, ->}.  The generators removed on the path to a vertex are its
 gaps above r in increasing order, so a preorder walk that visits children
 ascending lists each depth in lexicographic order of those gaps: the
-breadth-first order.  The walk holds the pending siblings of one path,
-never a whole level, and yields bare vertices; parents and solutions are
-read off the path: each removed generator is the Frobenius number of the
-vertex it leads to.  ``solve`` therefore reads the vertices at depths
-g - 1 and g off their depth-(g - 2) ancestor S without building them:
-S \\ {m} has S's members except m, so ``admissible`` can test its
-generators, listed by ``generators_after``, against S's own table, and
-each pair of removals completes a path into a solution.
+breadth-first order.  Parents and solutions are read off the path:
+each removed generator is the Frobenius number of the vertex it leads to.
+
+One depth-first kernel, ``_walk``, serves ``solve``, ``enumerate_levels``
+and ``export_tree``.  It keeps a single Apéry table and edits it in
+place: removing a generator m other than the multiplicity n1 moves one
+entry, ``ap[m % n1]``, from m to m + n1, and the walk puts m back on the
+way up.  Only the ray {0, n1, ->} can lose n1, and its child
+{0, n1+1, ->} starts a fresh table.  The walk holds one frame per depth
+(a vertex's generators, the admissible ones and a cursor), builds a
+child's generators only on entering it, and yields bare
+``(generators, table, frobenius, depth)``; callers build a
+``NumericalSemigroup`` only for the vertices they keep (the Apéry
+update of Bras-Amorós's generator-removal tree, walked with the
+explicit stack of Fromentin and Hivert).  ``solve`` reads the vertices
+at depths g - 1 and g off their depth-(g - 2) ancestor S without
+entering them: S \\ {m} has S's members except m, so ``admissible``
+can test its generators, listed by ``generators_after``, against S's
+own table, and each pair of removals completes a path into a solution.
 """
 
 from __future__ import annotations
@@ -89,10 +100,13 @@ def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemi
 
 def _walk(
     inst: ProblemInstance, depth_limit: int, *, max_nodes: int
-) -> Iterator[NumericalSemigroup]:
-    """The vertices of the tree down to depth_limit, in preorder.
+) -> Iterator[tuple[tuple[int, ...], list, int, int]]:
+    """The vertices of the tree down to depth_limit in preorder, as
+    ``(generators, apery, frobenius, depth)``.
 
-    A vertex's parent is the last one yielded a depth above it.  Raises
+    ``apery`` is the walk's live table: it is valid until the next vertex
+    is asked for, so a caller that keeps it must copy it.  A vertex's
+    parent is the last one yielded a depth above it.  Raises
     ResourceLimitError on vertex max_nodes + 1, since a truncated
     enumeration cannot certify a complete answer.
     """
@@ -100,20 +114,44 @@ def _walk(
         raise ValueError("depth_limit must be non-negative")
     if max_nodes < 0:
         raise ValueError("max_nodes must be non-negative")
-    max_genus = inst.r + depth_limit
     # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
-    stack = [variety_root(inst.r)]
-    count = 0
-    while stack:
-        s = stack.pop()
+    root = variety_root(inst.r)
+    gens, ap, f = root.min_generators, list(root.apery), root.frobenius
+    # one frame per vertex above the current one: its generators, its table,
+    # its admissible generators and the index of the next one to remove
+    frames: list[list] = []
+    count = depth = 0
+    while True:
         count += 1
         if count > max_nodes:
-            depth = s.genus - inst.r
             msg = f"tree enumeration exceeded {max_nodes} nodes at depth {depth}"
             raise ResourceLimitError(msg, node_count=count, depth=depth)
-        yield s
-        if s.genus < max_genus:
-            stack += reversed(children(s, inst))
+        yield gens, ap, f, depth
+        if depth < depth_limit:
+            frames.append([gens, ap, admissible(gens, ap, f, inst), 0])
+        while frames:  # undo the last removal below the top frame, then take the next
+            frame = frames[-1]
+            gens, ap, ms, i = frame
+            n1 = gens[0]
+            if i:
+                m = ms[i - 1]
+                if m != n1:
+                    ap[m % n1] = m
+            if i == len(ms):
+                frames.pop()
+                continue
+            frame[3] = i + 1
+            f = ms[i]
+            if f == n1:  # only {0, n1, ->} can lose its multiplicity
+                spine = ray(f + 1)
+                gens, ap = spine.min_generators, list(spine.apery)
+            else:
+                gens = gens[:gens.index(f)] + generators_after(gens, ap, f)
+                ap[f % n1] = f + n1
+            depth = len(frames)
+            break
+        else:
+            return
 
 
 def enumerate_levels(
@@ -124,11 +162,10 @@ def enumerate_levels(
     Ends early at the last non-empty depth when the tree is exhausted.
     """
     levels: list[list[NumericalSemigroup]] = []
-    for s in _walk(inst, depth_limit, max_nodes=max_nodes):
-        depth = s.genus - inst.r
+    for gens, ap, f, depth in _walk(inst, depth_limit, max_nodes=max_nodes):
         if depth == len(levels):  # preorder reaches depth k after depth k - 1
             levels.append([])
-        levels[depth].append(s)
+        levels[depth].append(NumericalSemigroup(gens, tuple(ap), f, inst.r + depth))
     return levels
 
 
@@ -141,41 +178,46 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     depth-(g - 1) vertex S \\ {m}, and each admissible generator v of
     that one, listed from S's table, completes the solution
     ``path + (m, v)``.  For g = 1 the leaves hang off the root.  Unbuilt
-    vertices still count against the budget in preorder.  On hitting the
-    node budget no partial answer is kept: the result has an empty
-    solution list, the truncated flag set and ``max_nodes + 1`` nodes, the
-    vertex the budget tripped on.
+    vertices still count against the budget in preorder, checked after
+    each depth-(g - 1) vertex and before its solutions are built.  On
+    hitting the node budget no partial answer is kept: the result has an
+    empty solution list, the truncated flag set and ``max_nodes + 1``
+    nodes, the vertex the budget tripped on.
     """
     if max_nodes < 0:  # _walk's own check would see max_nodes + 1
         raise ValueError("max_nodes must be non-negative")
+    refused = SolutionSet((), max_nodes + 1, True)
     if not inst.g:  # the root is the one depth-0 vertex, with no gaps above r
-        return SolutionSet(((),), 1, False) if max_nodes >= 1 else SolutionSet((), 1, True)
+        return SolutionSet(((),), 1, False) if max_nodes >= 1 else refused
     sols = []
     path: list[int] = []
     node_count = 0
     last = max(inst.g - 2, 0)
-    # _walk counts only the vertices it builds, never more than
+    # _walk counts only the vertices it yields, never more than
     # node_count, so its budget of max_nodes + 1 cannot trip first
-    for s in _walk(inst, last, max_nodes=max_nodes + 1):
-        depth = s.genus - inst.r
+    for gens, ap, f, depth in _walk(inst, last, max_nodes=max_nodes + 1):
         if depth:
-            path[depth - 1:] = [s.frobenius]
+            path[depth - 1:] = [f]
         node_count += 1
-        if depth == last:
-            ap = s.apery
-            ms = admissible(s.min_generators, ap, s.frobenius, inst)
-            node_count += len(ms)
-            if inst.g == 1:
-                sols += [(m,) for m in ms]
-            else:
-                prefix = tuple(path)
-                for m in ms:
-                    vs = admissible(generators_after(s, m), ap, m, inst)
-                    node_count += len(vs)
-                    head = prefix + (m,)
-                    sols += [head + (v,) for v in vs]
         if node_count > max_nodes:
-            return SolutionSet((), max_nodes + 1, True)
+            return refused
+        if depth < last:
+            continue
+        ms = admissible(gens, ap, f, inst)
+        if inst.g == 1:
+            node_count += len(ms)
+            if node_count > max_nodes:
+                return refused
+            sols += [(m,) for m in ms]
+            continue
+        prefix = tuple(path)
+        for m in ms:
+            vs = admissible(generators_after(gens, ap, m), ap, m, inst)
+            node_count += 1 + len(vs)
+            if node_count > max_nodes:
+                return refused
+            head = prefix + (m,)
+            sols += [head + (v,) for v in vs]
     return SolutionSet(tuple(sols), node_count, False)
 
 
@@ -189,13 +231,13 @@ def export_tree(
     child.  The text is byte-stable for identical inputs.
     """
     path, tails = [], []
-    for s in _walk(inst, depth_limit, max_nodes=max_nodes):
-        path[s.genus - inst.r:] = [s]
-        tails.append(path[-2:])  # [parent, vertex], or [root] alone
+    for gens, _, _, depth in _walk(inst, depth_limit, max_nodes=max_nodes):
+        path[depth:] = ['"<' + ",".join(map(str, gens)) + '>"']
+        tails.append((depth, path[-2:]))  # [parent, vertex], or [root] alone
     # a stable sort, since preorder within one depth is breadth-first order
-    tails.sort(key=lambda t: t[-1].genus)
+    tails.sort(key=lambda t: t[0])
     lines = ["digraph variety {"]
-    lines += [f'  "{t[-1]!r}";' for t in tails]
-    lines += [f'  "{parent!r}" -> "{s!r}";' for parent, s in tails[1:]]
+    lines += [f"  {pair[-1]};" for _, pair in tails]
+    lines += [f"  {parent} -> {label};" for _, (parent, label) in tails[1:]]
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -19,10 +19,8 @@ from pathlib import Path
 from abmonoids import (
     ProblemInstance,
     check_conditions,
-    children,
     enumerate_levels,
     from_generators,
-    variety_root,
 )
 from abmonoids.semigroup import NumericalSemigroup
 
@@ -78,18 +76,34 @@ def gaps_above(s: NumericalSemigroup, r: int) -> tuple[int, ...]:
     return tuple(v for v in s.gaps if v > r)
 
 
-def recomputed_min_generators(s: NumericalSemigroup) -> tuple[int, ...]:
-    """Minimal generators recomputed from the membership table alone.
+def _min_generators_of(contains, frobenius: int) -> tuple[int, ...]:
+    """Minimal generators of the numerical semigroup with membership test
+    ``contains`` and Frobenius number ``frobenius``.
 
     Uses the defining identity: the nonzero members minus all pairwise
     sums of nonzero members, scanned on a window wide enough to contain
     every minimal generator.
     """
-    hi = max(2 * s.frobenius + 2, 2)
-    nonzero = [v for v in range(1, hi + 1) if s.contains(v)]
-    nzset = set(nonzero)
+    hi = max(2 * frobenius + 2, 2)
+    nonzero = [v for v in range(1, hi + 1) if contains(v)]
     sums = {u + v for u in nonzero for v in nonzero if u + v <= hi}
     return tuple(v for v in nonzero if v not in sums)
+
+
+def recomputed_min_generators(s: NumericalSemigroup) -> tuple[int, ...]:
+    """Minimal generators recomputed from the membership table alone."""
+    return _min_generators_of(s.contains, s.frobenius)
+
+
+def semigroup_from_members(contains, frobenius: int) -> NumericalSemigroup:
+    """The numerical semigroup with membership test ``contains`` and Frobenius
+    number ``frobenius``, every field computed from membership alone: each
+    Apéry element is at most frobenius + multiplicity."""
+    gens = _min_generators_of(contains, frobenius)
+    m = gens[0]
+    members = [v for v in range(frobenius + m + 1) if contains(v)]
+    gaps = frobenius + 1 - sum(1 for v in members if v <= frobenius)
+    return NumericalSemigroup(gens, smallest_by_residue(members, m), frobenius, gaps)
 
 
 def assert_semigroup_consistent(s: NumericalSemigroup) -> None:
@@ -145,18 +159,39 @@ def assert_tree_invariants(levels, inst: ProblemInstance) -> None:
                 assert f in parent.min_generators and f > parent.frobenius
 
 
-def bfs_levels(inst: ProblemInstance, depth: int) -> list:
+def reference_children(s: NumericalSemigroup, inst: ProblemInstance) -> list:
+    """The vertices S \\ {m}, for the minimal generators m of S above its
+    Frobenius number, ascending, that still contain X and are closed under
+    the affine maps.  Each is recomputed from S's members by saturation,
+    not through an Apéry table update or the package's pruning rule."""
+    top = 2 * s.min_generators[-1] + 2
+    members = saturated_members(s.min_generators, top)
+    out = []
+    for m in s.min_generators:
+        if m <= s.frobenius:
+            continue
+        # S \ {m} holds every integer above m, and ``members`` ends at top
+        child = semigroup_from_members(lambda v, m=m: v != m and (v > top or v in members), m)
+        if m not in inst.x and is_affine_closed(child.min_generators, inst.a, inst.b):
+            out.append(child)
+    return out
+
+
+@functools.cache
+def bfs_levels(inst: ProblemInstance, depth: int) -> tuple:
     """Reference breadth-first levels 0..depth of the tree as (parent, vertex)
     pairs, the root's parent None: each level lists the children of the
     previous one, parents in order and children ascending.  Stops after the
-    last non-empty level."""
-    levels = [[(None, variety_root(inst.r))]]
+    last non-empty level.  The root {0, r+1, ->} is built from membership
+    and each level by ``reference_children``."""
+    root = semigroup_from_members(lambda v: v == 0 or v > inst.r, inst.r if inst.r else -1)
+    levels = [((None, root),)]
     for _ in range(depth):
-        level = [(s, child) for _, s in levels[-1] for child in children(s, inst)]
+        level = tuple((s, child) for _, s in levels[-1] for child in reference_children(s, inst))
         if not level:
             break
         levels.append(level)
-    return levels
+    return tuple(levels)
 
 
 # numerical semigroups of genus 0, 1, ... (OEIS A007323)

@@ -1,6 +1,7 @@
 import importlib
 import math
 import random
+import tracemalloc
 from collections import Counter
 from dataclasses import replace
 from functools import reduce
@@ -425,19 +426,25 @@ def _dot_lines(inst, depth):
 def test_walk_matches_breadth_first_reference():
     for inst in [WORKED, SCALED, SCALED_FLOOR, *instance_corpus(200)]:
         for depth in (inst.g, inst.g + 2):
-            reference = bfs_levels(inst, depth)
-            assert enumerate_levels(inst, depth) == [[s for _, s in lv] for lv in reference], inst
+            # every field, so a table the walk failed to restore shows
+            levels = [[tuple(s) for s in lv] for lv in enumerate_levels(inst, depth)]
+            assert levels == [[tuple(s) for _, s in lv] for lv in bfs_levels(inst, depth)], inst
             nodes, edges = _dot_lines(inst, depth)
             lines = export_tree(inst, depth).splitlines()
             assert lines == ["digraph variety {", *nodes, *edges, "}"], inst
 
 
 def test_solutions_read_off_the_path_are_the_gaps_above_r():
-    free = [ProblemInstance(g=g) for g in range(13)]
+    # the tree does not depend on g, so one reference walk to depth g + 2
+    # checks solve at every size up to g + 2, node counts included
+    free = [ProblemInstance(g=g) for g in range(11)]
     for inst in [WORKED, SCALED, SCALED_FLOOR, *instance_corpus(200), *free]:
-        levels = bfs_levels(inst, inst.g)
-        leaves = levels[inst.g] if len(levels) > inst.g else []
-        assert solve(inst).solutions == tuple(gaps_above(s, inst.r) for _, s in leaves), inst
+        levels = bfs_levels(inst, inst.g + 2)
+        for g in range(inst.g + 3):
+            leaves = levels[g] if len(levels) > g else ()
+            nodes = sum(map(len, levels[:g + 1]))
+            want = SolutionSet(tuple(gaps_above(s, inst.r) for _, s in leaves), nodes, False)
+            assert solve(replace(inst, g=g)) == want, (inst, g)
 
 
 def test_solve_matches_the_deepest_level_of_the_walk():
@@ -452,8 +459,32 @@ def test_solve_matches_the_deepest_level_of_the_walk():
         total = sum(map(len, levels))
         want = SolutionSet(tuple(gaps_above(s, inst.r) for s in leaves), total, False)
         assert solve(inst) == want, inst
-        for k in range(min(total, 40)):
-            assert solve(inst, max_nodes=k) == SolutionSet((), k + 1, True), (inst, k)
+        for k in range(41):
+            refused = SolutionSet((), k + 1, True)
+            assert solve(inst, max_nodes=k) == (refused if k < total else want), (inst, k)
+
+
+def test_deep_refusal_holds_one_frame_per_depth():
+    # the first path runs down the spine {0, k, ->} to depth 1000 within
+    # the budget; the walk holds one frame per depth, not the pending
+    # siblings of every vertex on the path
+    tracemalloc.start()
+    try:
+        result = solve(ProblemInstance(g=2000), max_nodes=1000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result == SolutionSet((), 1001, True)
+    assert peak < 100 * 2**20
+
+
+def test_deep_walk_refuses_without_recursion():
+    # vertex 1501 is the spine at depth 1500; its parent {0, 1500, ->} has
+    # 1499 more children, vertices 1502..3000, so vertex 3001 is the next
+    # child of {0, 1499, ->}, at depth 1499
+    with pytest.raises(ResourceLimitError, match="exceeded 3000 nodes at depth 1499$") as exc:
+        enumerate_levels(ProblemInstance(), 1500, max_nodes=3000)
+    assert (exc.value.node_count, exc.value.depth) == (3001, 1499)
 
 
 def test_solve_matches_the_free_tree_reference():
@@ -494,15 +525,18 @@ def test_look_ahead_matches_the_built_child():
                 for t in children(s, inst):
                     m = t.frobenius
                     want = admissible(t.min_generators, t.apery, t.frobenius, inst)
-                    assert admissible(generators_after(s, m), s.apery, m, inst) == want, (inst, s, m)
+                    after = generators_after(s.min_generators, s.apery, m)
+                    assert admissible(after, s.apery, m, inst) == want, (inst, s, m)
 
 
 def test_tree_expansion_goes_through_the_module_names(monkeypatch):
-    # bench/tracing.py times the tree layers by rebinding these names in
-    # abmonoids.tree; an engine that bypasses them would report no spans
+    # the walk keeps one Apéry table in place: it never calls children or
+    # remove_generator, and builds a fresh table through the module name
+    # ray only for the root and for each removal of the multiplicity, the
+    # spine {0, k, ->} with one vertex per depth
     tree_module = importlib.import_module("abmonoids.tree")
     calls = Counter()
-    for name in ("children", "remove_generator"):
+    for name in ("children", "remove_generator", "ray"):
         fn = getattr(tree_module, name)
 
         def counted(*args, _fn=fn, _name=name):
@@ -510,9 +544,15 @@ def test_tree_expansion_goes_through_the_module_names(monkeypatch):
             return _fn(*args)
 
         monkeypatch.setattr(tree_module, name, counted)
-    result = solve(ProblemInstance(g=8))
-    # 156 vertices down to genus 8: solve builds the 50 at depth <= 6,
-    # expanding the 27 at depth <= 5, and reads the 39 at depth 7 and the
-    # 67 at depth 8 off the 23 at depth 6 without building them
-    assert result.node_count == 156
-    assert calls == {"children": 27, "remove_generator": 50 - 1}
+    inst = ProblemInstance(g=8)
+    # 156 vertices down to genus 8; solve walks to depth 6 and reads the
+    # vertices at depths 7 and 8 off depth 6, so it meets the spine at
+    # depths 0..6, the other two at depths 0..8
+    assert solve(inst).node_count == 156
+    assert calls == {"ray": 7}
+    calls.clear()
+    assert sum(map(len, enumerate_levels(inst, 8))) == 156
+    assert calls == {"ray": 9}
+    calls.clear()
+    assert export_tree(inst, 8).count(";") == 156 + 155
+    assert calls == {"ray": 9}
