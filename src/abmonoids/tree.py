@@ -7,7 +7,11 @@ the children of a vertex S are the sets S \\ {m} where m is a minimal
 generator above the Frobenius number such that the removal stays
 admissible.  Removal of m is admissible iff m is not a seed value and no
 coordinate has (m - b_i) / a_i equal to a positive member of S, since
-that member's affine image would then be lost.
+that member's affine image would then be lost.  A per-run ``Preimages``
+table holds each tested value's integer preimages, worked out on first
+use, and maps a seed value to 0, which is always a member, so
+``admissible`` tests each generator above the Frobenius number with one
+lookup and a membership test per preimage.
 
 Each removal adds exactly one gap, so the vertices at depth k are
 exactly the admissible semigroups with r + k gaps, and the solutions of
@@ -26,7 +30,8 @@ way up.  Only the ray {0, n1, ->} can lose n1, and its child
 {0, n1+1, ->} starts a fresh table.  The walk holds one frame per depth
 (a vertex's generators, the admissible ones and a cursor), builds a
 child's generators only on entering it, and yields bare
-``(generators, table, frobenius, depth)``; callers build a
+``(generators, above, table, frobenius, depth)``, ``above`` being the
+generators above the Frobenius number; callers build a
 ``NumericalSemigroup`` only for the vertices they keep (the Apéry
 update of Bras-Amorós's generator-removal tree, walked with the
 explicit stack of Fromentin and Hivert).  ``solve`` reads the vertices
@@ -39,7 +44,7 @@ own table, and each pair of removals completes a path into a solution.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, Sequence
 
 from .closure import ProblemInstance
 from .errors import ResourceLimitError
@@ -63,30 +68,50 @@ def variety_root(r: int) -> NumericalSemigroup:
     return ray(r + 1)
 
 
-def admissible(
-    gens: tuple[int, ...], ap: tuple[int, ...], f: int, inst: ProblemInstance
-) -> list[int]:
-    """The generators in ``gens`` above ``f`` whose removal is admissible, ascending.
+class Preimages(dict):
+    """The pruning data of one instance, filled on first use: the entry for
+    m is ``(0,)`` when m is a seed value, and otherwise the ascending
+    positive integers ``(m - b_i) // a_i`` with ``a_i`` dividing ``m - b_i``.
 
-    The semigroup tested has the members ``x >= ap[x % len(ap)]`` except
-    ``f``, its Frobenius number.  Called with a vertex's own fields, f is a
-    gap already and this tests the vertex.  Called with a parent's table, a
-    generator m it removes as f and ``generators_after(parent, m)``, it
-    tests the child without building it.  A generator is kept when it is
-    not a seed value and no affine preimage is a positive member.
+    Removing m is admissible exactly when no entry is a positive member of
+    the semigroup left, and 0 is a member of every semigroup and never its
+    Frobenius number, so one membership test covers both rules.  Each
+    distinct value is worked out once per table; a table serves one walk.
+    """
+
+    __slots__ = ("maps", "x")
+
+    def __init__(self, inst: ProblemInstance):
+        super().__init__()
+        self.maps = tuple(zip(inst.a, inst.b))
+        self.x = inst.x
+
+    def __missing__(self, m: int) -> tuple[int, ...]:
+        if m in self.x:
+            out: tuple[int, ...] = (0,)
+        else:
+            out = tuple(sorted({(m - b) // a for a, b in self.maps if m > b and not (m - b) % a}))
+        self[m] = out
+        return out
+
+
+def admissible(above: Sequence[int], ap: Sequence[int], f: int, pre: Preimages) -> list[int]:
+    """The generators in ``above`` whose removal is admissible, ascending.
+
+    ``above`` holds minimal generators above ``f``, the Frobenius number of
+    the semigroup tested: its members are ``x >= ap[x % len(ap)]`` except
+    ``f``.  Called with a vertex's own fields, f is a gap already and this
+    tests the vertex.  Called with a parent's table (the walk's live list),
+    a generator m it removes as f and ``generators_after(parent, m)``, it
+    tests the child without building it.  A generator is kept when no entry
+    of ``pre`` for it is a member.
     """
     n1 = len(ap)
-    maps = tuple(zip(inst.a, inst.b))
     out = []
-    for m in gens:
-        if m <= f or m in inst.x:
-            continue
-        for ai, bi in maps:
-            q = m - bi
-            if q > 0 and not q % ai:
-                p = q // ai
-                if p >= ap[p % n1] and p != f:  # the preimage p is a positive member
-                    break
+    for m in above:
+        for p in pre[m]:
+            if p >= ap[p % n1] and p != f:  # a seed value, or a positive member preimage
+                break
         else:
             out.append(m)
     return out
@@ -94,18 +119,21 @@ def admissible(
 
 def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemigroup]:
     """Admissible single-generator removals, ascending by removed generator."""
-    ms = admissible(s.min_generators, s.apery, s.frobenius, inst)
+    above = [m for m in s.min_generators if m > s.frobenius]
+    ms = admissible(above, s.apery, s.frobenius, Preimages(inst))
     return [remove_generator(s, m) for m in ms]
 
 
 def _walk(
-    inst: ProblemInstance, depth_limit: int, *, max_nodes: int
-) -> Iterator[tuple[tuple[int, ...], list, int, int]]:
+    inst: ProblemInstance, pre: Preimages, depth_limit: int, *, max_nodes: int
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int], int, int]]:
     """The vertices of the tree down to depth_limit in preorder, as
-    ``(generators, apery, frobenius, depth)``.
+    ``(generators, above, apery, frobenius, depth)``, where ``above`` is
+    the tail of the generators above the Frobenius number.
 
     ``apery`` is the walk's live table: it is valid until the next vertex
-    is asked for, so a caller that keeps it must copy it.  A vertex's
+    is asked for, so a caller that keeps it must copy it.  ``pre`` is the
+    instance's preimage table, shared with the caller.  A vertex's
     parent is the last one yielded a depth above it.  Raises
     ResourceLimitError on vertex max_nodes + 1, since a truncated
     enumeration cannot certify a complete answer.
@@ -117,6 +145,7 @@ def _walk(
     # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
     root = variety_root(inst.r)
     gens, ap, f = root.min_generators, list(root.apery), root.frobenius
+    above = gens
     # one frame per vertex above the current one: its generators, its table,
     # its admissible generators and the index of the next one to remove
     frames: list[list] = []
@@ -126,9 +155,9 @@ def _walk(
         if count > max_nodes:
             msg = f"tree enumeration exceeded {max_nodes} nodes at depth {depth}"
             raise ResourceLimitError(msg, node_count=count, depth=depth)
-        yield gens, ap, f, depth
+        yield gens, above, ap, f, depth
         if depth < depth_limit:
-            frames.append([gens, ap, admissible(gens, ap, f, inst), 0])
+            frames.append([gens, ap, admissible(above, ap, f, pre), 0])
         while frames:  # undo the last removal below the top frame, then take the next
             frame = frames[-1]
             gens, ap, ms, i = frame
@@ -145,8 +174,10 @@ def _walk(
             if f == n1:  # only {0, n1, ->} can lose its multiplicity
                 spine = ray(f + 1)
                 gens, ap = spine.min_generators, list(spine.apery)
+                above = gens
             else:
-                gens = gens[:gens.index(f)] + generators_after(gens, ap, f)
+                above = generators_after(gens, ap, f)
+                gens = gens[:gens.index(f)] + above
                 ap[f % n1] = f + n1
             depth = len(frames)
             break
@@ -162,7 +193,7 @@ def enumerate_levels(
     Ends early at the last non-empty depth when the tree is exhausted.
     """
     levels: list[list[NumericalSemigroup]] = []
-    for gens, ap, f, depth in _walk(inst, depth_limit, max_nodes=max_nodes):
+    for gens, _, ap, f, depth in _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes):
         if depth == len(levels):  # preorder reaches depth k after depth k - 1
             levels.append([])
         levels[depth].append(NumericalSemigroup(gens, tuple(ap), f, inst.r + depth))
@@ -195,7 +226,8 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     last = max(inst.g - 2, 0)
     # _walk counts only the vertices it yields, never more than
     # node_count, so its budget of max_nodes + 1 cannot trip first
-    for gens, ap, f, depth in _walk(inst, last, max_nodes=max_nodes + 1):
+    pre = Preimages(inst)
+    for gens, above, ap, f, depth in _walk(inst, pre, last, max_nodes=max_nodes + 1):
         if depth:
             path[depth - 1:] = [f]
         node_count += 1
@@ -203,7 +235,7 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
             return refused
         if depth < last:
             continue
-        ms = admissible(gens, ap, f, inst)
+        ms = admissible(above, ap, f, pre)
         if inst.g == 1:
             node_count += len(ms)
             if node_count > max_nodes:
@@ -212,7 +244,7 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
             continue
         prefix = tuple(path)
         for m in ms:
-            vs = admissible(generators_after(gens, ap, m), ap, m, inst)
+            vs = admissible(generators_after(gens, ap, m), ap, m, pre)
             node_count += 1 + len(vs)
             if node_count > max_nodes:
                 return refused
@@ -231,7 +263,7 @@ def export_tree(
     child.  The text is byte-stable for identical inputs.
     """
     path, tails = [], []
-    for gens, _, _, depth in _walk(inst, depth_limit, max_nodes=max_nodes):
+    for gens, _, _, _, depth in _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes):
         path[depth:] = ['"<' + ",".join(map(str, gens)) + '>"']
         tails.append((depth, path[-2:]))  # [parent, vertex], or [root] alone
     # a stable sort, since preorder within one depth is breadth-first order

@@ -177,6 +177,21 @@ def reference_children(s: NumericalSemigroup, inst: ProblemInstance) -> list:
     return out
 
 
+def reference_admissible(s: NumericalSemigroup, inst: ProblemInstance) -> list[int]:
+    """The minimal generators m of S above its Frobenius number whose removal
+    keeps the instance's rules, ascending, by divide and modulo on each map:
+    m is not a seed value and no (m - b_i) / a_i is a positive member of S."""
+    out = []
+    for m in s.min_generators:
+        if m <= s.frobenius or m in inst.x:
+            continue
+        maps = zip(inst.a, inst.b)
+        preimages = [(m - bi) // ai for ai, bi in maps if m > bi and not (m - bi) % ai]
+        if not any(s.contains(p) for p in preimages):
+            out.append(m)
+    return out
+
+
 @functools.cache
 def bfs_levels(inst: ProblemInstance, depth: int) -> tuple:
     """Reference breadth-first levels 0..depth of the tree as (parent, vertex)

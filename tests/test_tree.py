@@ -24,8 +24,8 @@ from abmonoids import (
     solve,
     variety_root,
 )
-from abmonoids.semigroup import MAX_TABLE_SIZE, generators_after
-from abmonoids.tree import admissible
+from abmonoids.semigroup import MAX_TABLE_SIZE, generators_after, ray, remove_generator
+from abmonoids.tree import Preimages, admissible
 
 from conftest import (
     A007323,
@@ -36,6 +36,7 @@ from conftest import (
     instance_corpus,
     intersect,
     random_instance,
+    reference_admissible,
 )
 
 WORKED = ProblemInstance(a=(1, 2), b=(4, 1), x={5}, g=6, r=0)
@@ -503,7 +504,8 @@ def test_solve_matches_the_free_tree_reference():
 def test_children_match_the_defining_conditions():
     # S \ {m} is a vertex exactly when the gaps of S above r plus m solve
     # the problem one size up, checked by brute force instead of the
-    # Apéry-set preimage test
+    # Apéry-set preimage test, and when the divide-and-modulo rule without
+    # the preimage table keeps m
     for inst in instance_corpus(200):
         for k, level in enumerate(bfs_levels(inst, inst.g + 2)):
             one_up = replace(inst, g=k + 1)
@@ -514,19 +516,112 @@ def test_children_match_the_defining_conditions():
                     if m > s.frobenius and check_conditions(gaps_above(s, inst.r) + (m,), one_up)
                 ]
                 assert [c.frobenius for c in children(s, inst)] == want, (inst, s)
+                assert reference_admissible(s, inst) == want, (inst, s)
+
+
+def above_frobenius(s):
+    """The minimal generators of ``s`` above its Frobenius number."""
+    return [m for m in s.min_generators if m > s.frobenius]
+
+
+def test_preimage_table_entries():
+    # (0,) exactly for the seed values; otherwise the values p >= 1 with
+    # a_i * p + b_i = m, found forward rather than by division
+    for inst in instance_corpus(200):
+        table = Preimages(inst)
+        for m in range(1, 3 * (inst.r + inst.g) + 2):
+            if m in inst.x:
+                want = (0,)
+            else:
+                want = tuple(
+                    p for p in range(1, m) if any(a * p + b == m for a, b in zip(inst.a, inst.b))
+                )
+            assert table[m] == want, (inst, m)
+        assert sorted(table) == list(range(1, 3 * (inst.r + inst.g) + 2))
 
 
 def test_look_ahead_matches_the_built_child():
     # admissible() tests a child from its parent's table, with the removed
-    # generator as the Frobenius number; it must agree with the built child
+    # generator as the Frobenius number; it must agree with the built
+    # child's own test, each drawing on its own preimage table
     for inst in instance_corpus(200):
+        table = Preimages(inst)  # one per instance, filled as the walk would
         for level in bfs_levels(inst, inst.g + 2):
             for _, s in level:
                 for t in children(s, inst):
                     m = t.frobenius
-                    want = admissible(t.min_generators, t.apery, t.frobenius, inst)
+                    want = admissible(above_frobenius(t), t.apery, m, Preimages(inst))
                     after = generators_after(s.min_generators, s.apery, m)
-                    assert admissible(after, s.apery, m, inst) == want, (inst, s, m)
+                    assert admissible(after, s.apery, m, table) == want, (inst, s, m)
+
+
+class TestPruningEdgeCases:
+    def test_root_of_the_naturals(self):
+        # r = 0: the root is N, n1 = 1, and every positive integer is a
+        # member, so any generator with a positive preimage is pruned
+        inst = ProblemInstance(a=(1,), b=(1,), g=1)
+        table = Preimages(inst)
+        assert admissible((1,), [0], -1, table) == [1]
+        assert admissible((2, 5, 6), [0], -1, table) == []
+        assert solve(inst) == SolutionSet(((1,),), 2, False)
+        seeded = replace(inst, x={1})
+        assert admissible((1,), [0], -1, Preimages(seeded)) == []
+        assert solve(seeded) == SolutionSet((), 1, False)
+
+    def test_seed_value_is_the_new_generator(self):
+        # removing 4 from <3,4,5> adds the generator 4 + 3 = 7, a seed value
+        # whose one preimage (7 - 3) / 2 = 2 is a gap
+        inst = ProblemInstance(a=(2,), b=(3,), x={7}, g=3)
+        s = from_generators((3, 4, 5))
+        after = generators_after(s.min_generators, s.apery, 4)
+        assert after == (5, 7)
+        table = Preimages(inst)
+        assert (table[7], table[5]) == ((0,), (1,))
+        assert admissible(after, s.apery, 4, table) == [5]
+        assert [c.frobenius for c in children(remove_generator(s, 4), inst)] == [5]
+        unseeded = Preimages(replace(inst, x=()))
+        assert admissible(after, s.apery, 4, unseeded) == [5, 7]
+
+    def test_offset_at_or_above_the_generator_gives_no_preimage(self):
+        inst = ProblemInstance(a=(2,), b=(9,))
+        table = Preimages(inst)
+        assert [table[m] for m in (4, 9, 10, 11)] == [(), (), (), (1,)]
+        s = ray(4)
+        assert admissible(s.min_generators, list(s.apery), s.frobenius, table) == [4, 5, 6, 7]
+
+    def test_preimage_equal_to_the_removed_generator(self):
+        # removing 3 from <2,3> leaves <2,5>; 5's preimage 5 - 2 = 3 is a
+        # member of the parent's table but the child's Frobenius number
+        inst = ProblemInstance(a=(1,), b=(2,))
+        s = from_generators((2, 3))
+        table = Preimages(inst)
+        after = generators_after(s.min_generators, s.apery, 3)
+        assert (after, table[5]) == ((5,), (3,))
+        assert s.contains(3)
+        assert admissible(after, s.apery, 3, table) == [5]
+        t = remove_generator(s, 3)
+        assert admissible(above_frobenius(t), t.apery, 3, table) == [5]
+
+
+def test_no_table_is_shared_across_instances_or_calls():
+    # instances that differ only in X, then only in (a, b), solved back to
+    # back: each answer is the reference's, whatever was solved before it
+    base = ProblemInstance(a=(1, 3), b=(7, 2), x={9}, g=5, r=2)
+    pairs = [
+        (base, replace(base, x={4})),
+        (base, replace(base, a=(2, 3), b=(4, 2))),
+    ]
+    for first, second in pairs:
+        wants = []
+        for inst in (first, second):
+            levels = bfs_levels(inst, inst.g)
+            leaves = levels[inst.g] if len(levels) > inst.g else ()
+            nodes = sum(map(len, levels))
+            wants.append(SolutionSet(tuple(gaps_above(s, inst.r) for _, s in leaves), nodes, False))
+        assert wants[0] != wants[1]
+        for _ in range(2):
+            assert solve(first) == wants[0], first
+            assert solve(second) == wants[1], second
 
 
 def test_tree_expansion_goes_through_the_module_names(monkeypatch):
