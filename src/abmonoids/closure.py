@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InfeasibleError, Int64OverflowError, ResourceLimitError
 from .semigroup import NumericalSemigroup, add_generator, apery_table, from_apery
@@ -49,42 +49,46 @@ def _affine_value(ai: int, m: int, bi: int) -> int:
     return v
 
 
-@dataclass(frozen=True)
-class ProblemInstance:
-    """Parameters of the set-search problem.
-
-    ``a`` and ``b`` are the multiplier/offset tuples of the affine
-    conditions, ``x`` the forbidden values, ``g`` the required solution
-    cardinality, and ``r`` the floor: solutions draw their elements from
-    the integers >= r + 1.  ``r = 0`` is the plain problem.
-    """
-
+class _InstanceFields(NamedTuple):
     a: tuple[int, ...] = ()
     b: tuple[int, ...] = ()
     x: frozenset[int] = frozenset()
     g: int = 0
     r: int = 0
 
-    def __post_init__(self):
-        object.__setattr__(self, "a", tuple(self.a))
-        object.__setattr__(self, "b", tuple(self.b))
-        object.__setattr__(self, "x", frozenset(self.x))
-        if len(self.a) != len(self.b):
-            raise ValueError(
-                f"a and b must have the same length, got {len(self.a)} and {len(self.b)}"
-            )
-        if any(v < 1 for v in self.a + self.b):
+
+class ProblemInstance(_InstanceFields):
+    """Parameters of the set-search problem.
+
+    ``a`` and ``b`` are the multiplier/offset tuples of the affine
+    conditions, ``x`` the forbidden values, ``g`` the required solution
+    cardinality, and ``r`` the floor: solutions draw their elements from
+    the integers >= r + 1.  ``r = 0`` is the plain problem.  An immutable
+    named tuple, checked on construction and on ``_replace``.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, a=(), b=(), x=frozenset(), g=0, r=0):
+        a, b, x = tuple(a), tuple(b), frozenset(x)
+        if len(a) != len(b):
+            raise ValueError(f"a and b must have the same length, got {len(a)} and {len(b)}")
+        if any(v < 1 for v in a + b):
             raise ValueError("entries of a and b must be positive integers")
-        if self.g < 0:
+        if g < 0:
             raise ValueError("g must be non-negative")
-        if self.r < 0:
+        if r < 0:
             raise ValueError("r must be non-negative")
-        if any(v < self.r + 1 for v in self.x):
-            raise ValueError(f"x must be a subset of {{{self.r + 1}, {self.r + 2}, ...}}")
+        if any(v < r + 1 for v in x):
+            raise ValueError(f"x must be a subset of {{{r + 1}, {r + 2}, ...}}")
+        return tuple.__new__(cls, (a, b, x, g, r))
+
+    @classmethod
+    def _make(cls, iterable):  # the path of ``_replace``
+        return cls(*iterable)
 
 
-@dataclass(frozen=True)
-class SubmonoidRep:
+class SubmonoidRep(NamedTuple):
     """A monoid of the form d * S with S a numerical semigroup.
 
     ``d`` is the gcd of the represented monoid; the monoid is a numerical
@@ -176,8 +180,7 @@ def _gap_count_above(monoid: SubmonoidRep | None, r: int) -> int | float:
     return monoid.base.gap_count_above(r)
 
 
-@dataclass(frozen=True)
-class Feasibility:
+class Feasibility(NamedTuple):
     feasible: bool
     gap_count: int | float
 

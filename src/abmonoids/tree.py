@@ -43,8 +43,7 @@ own table, and each pair of removals completes a path into a solution.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .closure import ProblemInstance
 from .errors import ResourceLimitError
@@ -54,8 +53,7 @@ from .semigroup import from_generators  # noqa: F401  (the benchmark's tracer wr
 DEFAULT_NODE_BUDGET = 10**6
 
 
-@dataclass(frozen=True)
-class SolutionSet:
+class SolutionSet(NamedTuple):
     """All solutions, lexicographically sorted, plus enumeration stats."""
 
     solutions: tuple[tuple[int, ...], ...]
@@ -77,14 +75,17 @@ class Preimages(dict):
     the semigroup left, and 0 is a member of every semigroup and never its
     Frobenius number, so one membership test covers both rules.  Each
     distinct value is worked out once per table; a table serves one walk.
+    ``free`` records an instance with no maps and no seeds, whose every
+    entry would be empty.
     """
 
-    __slots__ = ("maps", "x")
+    __slots__ = ("maps", "x", "free")
 
     def __init__(self, inst: ProblemInstance):
         super().__init__()
         self.maps = tuple(zip(inst.a, inst.b))
         self.x = inst.x
+        self.free = not (self.maps or self.x)
 
     def __missing__(self, m: int) -> tuple[int, ...]:
         if m in self.x:
@@ -104,8 +105,10 @@ def admissible(above: Sequence[int], ap: Sequence[int], f: int, pre: Preimages) 
     tests the vertex.  Called with a parent's table (the walk's live list),
     a generator m it removes as f and ``generators_after(parent, m)``, it
     tests the child without building it.  A generator is kept when no entry
-    of ``pre`` for it is a member.
+    of ``pre`` for it is a member; a free table keeps them all unread.
     """
+    if pre.free:
+        return list(above)
     n1 = len(ap)
     out = []
     for m in above:

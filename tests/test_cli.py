@@ -249,16 +249,30 @@ class TestOutPath:
         assert (code, out, err) == (2, "", message)
 
 
-def test_module_entry_point():
+def src_env():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_module_entry_point():
     proc = subprocess.run(
         [sys.executable, "-m", "abmonoids", "solve", *WORKED],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout == "1,2,3,4,6,7\n1,2,3,4,6,8\n1,2,3,4,7,8\n"
     assert proc.stderr == "# solutions=3 nodes=16\n"
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # each costs a one-shot run start-up time, and inspect pulls in ast,
+    # dis and tokenize; a fresh interpreter shows what the import loads
+    probe = "import sys, abmonoids.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env=src_env()
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "[]\n", "")

@@ -3,7 +3,6 @@ import math
 import random
 import tracemalloc
 from collections import Counter
-from dataclasses import replace
 from functools import reduce
 
 import pytest
@@ -220,7 +219,7 @@ class TestEnumerate:
 )
 def test_negative_node_budget_rejected(run, g):
     with pytest.raises(ValueError, match="^max_nodes must be non-negative$"):
-        run(replace(WORKED, g=g))
+        run(WORKED._replace(g=g))
 
 
 class TestSolve:
@@ -278,11 +277,11 @@ class TestSolve:
 
     def test_budget_at_depth_zero_and_one(self):
         # g = 0: the root is the only vertex and the only solution
-        inst = replace(WORKED, g=0)
+        inst = WORKED._replace(g=0)
         assert solve(inst, max_nodes=1) == SolutionSet(((),), 1, False)
         assert solve(inst, max_nodes=0) == SolutionSet((), 1, True)
         # g = 1: the leaves hang off the root, WORKED has one
-        inst = replace(WORKED, g=1)
+        inst = WORKED._replace(g=1)
         assert solve(inst, max_nodes=2) == SolutionSet(((1,),), 2, False)
         assert solve(inst, max_nodes=1) == SolutionSet((), 2, True)
         assert solve(inst, max_nodes=0) == SolutionSet((), 1, True)
@@ -293,7 +292,7 @@ class TestSolve:
         # g = 2: depths 1 and 2 are both read off the root
         worked = SolutionSet(((1, 2), (1, 3)), 4, False)  # <1>, <2,3>, <3,4,5>, <2,5>
         free = SolutionSet(((3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7)), 10, False)
-        for inst, want in [(replace(WORKED, g=2), worked), (ProblemInstance(g=2, r=2), free)]:
+        for inst, want in [(WORKED._replace(g=2), worked), (ProblemInstance(g=2, r=2), free)]:
             assert solve(inst) == want
             for k in range(want.node_count):
                 assert solve(inst, max_nodes=k) == SolutionSet((), k + 1, True), (inst, k)
@@ -445,7 +444,7 @@ def test_solutions_read_off_the_path_are_the_gaps_above_r():
             leaves = levels[g] if len(levels) > g else ()
             nodes = sum(map(len, levels[:g + 1]))
             want = SolutionSet(tuple(gaps_above(s, inst.r) for _, s in leaves), nodes, False)
-            assert solve(replace(inst, g=g)) == want, (inst, g)
+            assert solve(inst._replace(g=g)) == want, (inst, g)
 
 
 def test_solve_matches_the_deepest_level_of_the_walk():
@@ -508,7 +507,7 @@ def test_children_match_the_defining_conditions():
     # the preimage table keeps m
     for inst in instance_corpus(200):
         for k, level in enumerate(bfs_levels(inst, inst.g + 2)):
-            one_up = replace(inst, g=k + 1)
+            one_up = inst._replace(g=k + 1)
             for _, s in level:
                 want = [
                     m
@@ -564,7 +563,7 @@ class TestPruningEdgeCases:
         assert admissible((1,), [0], -1, table) == [1]
         assert admissible((2, 5, 6), [0], -1, table) == []
         assert solve(inst) == SolutionSet(((1,),), 2, False)
-        seeded = replace(inst, x={1})
+        seeded = inst._replace(x={1})
         assert admissible((1,), [0], -1, Preimages(seeded)) == []
         assert solve(seeded) == SolutionSet((), 1, False)
 
@@ -579,7 +578,7 @@ class TestPruningEdgeCases:
         assert (table[7], table[5]) == ((0,), (1,))
         assert admissible(after, s.apery, 4, table) == [5]
         assert [c.frobenius for c in children(remove_generator(s, 4), inst)] == [5]
-        unseeded = Preimages(replace(inst, x=()))
+        unseeded = Preimages(inst._replace(x=()))
         assert admissible(after, s.apery, 4, unseeded) == [5, 7]
 
     def test_offset_at_or_above_the_generator_gives_no_preimage(self):
@@ -588,6 +587,15 @@ class TestPruningEdgeCases:
         assert [table[m] for m in (4, 9, 10, 11)] == [(), (), (), (1,)]
         s = ray(4)
         assert admissible(s.min_generators, list(s.apery), s.frobenius, table) == [4, 5, 6, 7]
+
+    def test_constraint_free_table_stores_nothing(self):
+        # no maps and no seeds: every generator above f is kept unread
+        table = Preimages(ProblemInstance(g=3))
+        s = ray(4)
+        assert admissible(s.min_generators, list(s.apery), s.frobenius, table) == [4, 5, 6, 7]
+        assert table == {}
+        assert not Preimages(ProblemInstance(x={9})).free
+        assert not Preimages(ProblemInstance(a=(2,), b=(9,))).free
 
     def test_preimage_equal_to_the_removed_generator(self):
         # removing 3 from <2,3> leaves <2,5>; 5's preimage 5 - 2 = 3 is a
@@ -608,8 +616,8 @@ def test_no_table_is_shared_across_instances_or_calls():
     # back: each answer is the reference's, whatever was solved before it
     base = ProblemInstance(a=(1, 3), b=(7, 2), x={9}, g=5, r=2)
     pairs = [
-        (base, replace(base, x={4})),
-        (base, replace(base, a=(2, 3), b=(4, 2))),
+        (base, base._replace(x={4})),
+        (base, base._replace(a=(2, 3), b=(4, 2))),
     ]
     for first, second in pairs:
         wants = []
