@@ -24,21 +24,12 @@ from .closure import (
 )
 from .errors import InfeasibleError, Int64OverflowError, ResourceLimitError
 from .oracle import check_conditions, oracle_solve
-from .semigroup import NumericalSemigroup, from_generators, remove_generator
-from .tree import (
-    DEFAULT_NODE_BUDGET,
-    SolutionSet,
-    children,
-    enumerate_levels,
-    export_tree,
-    solve,
-    variety_root,
-)
+from .semigroup import NumericalSemigroup, from_generators
+from .tree import SolutionSet, enumerate_levels, export_tree, solve
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "DEFAULT_NODE_BUDGET",
     "Feasibility",
     "InfeasibleError",
     "Int64OverflowError",
@@ -48,7 +39,6 @@ __all__ = [
     "SolutionSet",
     "SubmonoidRep",
     "check_conditions",
-    "children",
     "closure",
     "enumerate_levels",
     "export_tree",
@@ -57,7 +47,5 @@ __all__ = [
     "instance_closure",
     "one_solution",
     "oracle_solve",
-    "remove_generator",
     "solve",
-    "variety_root",
 ]

@@ -64,13 +64,17 @@ class ProblemInstance(_InstanceFields):
     conditions, ``x`` the forbidden values, ``g`` the required solution
     cardinality, and ``r`` the floor: solutions draw their elements from
     the integers >= r + 1.  ``r = 0`` is the plain problem.  An immutable
-    named tuple, checked on construction and on ``_replace``.
+    named tuple, checked on construction and on ``_replace``: every value
+    must be an ``int``.
     """
 
     __slots__ = ()
 
     def __new__(cls, a=(), b=(), x=frozenset(), g=0, r=0):
         a, b, x = tuple(a), tuple(b), frozenset(x)
+        for name, values in (("a", a), ("b", b), ("x", x), ("g", (g,)), ("r", (r,))):
+            if not all(isinstance(v, int) for v in values):
+                raise ValueError(f"{name} must hold only integers")
         if len(a) != len(b):
             raise ValueError(f"a and b must have the same length, got {len(a)} and {len(b)}")
         if any(v < 1 for v in a + b):

@@ -2,22 +2,18 @@
 
 A numerical semigroup is a subset of the non-negative integers that
 contains 0, is closed under addition, and misses only finitely many
-integers (its *gaps*).  A value is a named tuple of four fields:
+integers (its *gaps*).  A value is a named tuple of two fields:
 
 * ``min_generators``, the unique minimal generating set, ascending; its
   first entry is the multiplicity m, the smallest nonzero member;
 * ``apery``, the Apéry set with respect to m: ``apery[i]`` is the
   smallest member congruent to ``i`` modulo m, so ``x`` is a member
-  exactly when ``x >= apery[x % m]``;
-* ``frobenius``, the largest gap ``max(apery) - m``, with the convention
-  -1 when there are no gaps (the semigroup is all of the non-negative
-  integers);
-* ``genus``, the number of gaps, by Selmer's formula
-  ``sum(apery) = m * genus + m * (m - 1) / 2``.
+  exactly when ``x >= apery[x % m]``.
 
-``gaps`` and the membership table ``small_elements`` are built from the
-Apéry set on request.  Two values are equal exactly when their minimal
-generating sets are equal; the remaining fields are derived data.  The
+The Frobenius number (the largest gap, ``max(apery) - m``, or -1 when
+there is none), the genus (the number of gaps) and the gap list are read
+off the Apéry set on request.  Two values are equal exactly when their
+minimal generating sets are equal; the Apéry set is derived data.  The
 tuple only backs the storage: ``x in s`` is semigroup membership, not a
 search of the fields, and the fields cannot be reassigned.
 
@@ -42,8 +38,6 @@ MAX_TABLE_SIZE = 1 << 20
 class NumericalSemigroup(NamedTuple):
     min_generators: tuple[int, ...]
     apery: tuple[int, ...]
-    frobenius: int
-    genus: int
 
     def contains(self, x: int) -> bool:
         """Membership test; negative integers are never members."""
@@ -54,15 +48,20 @@ class NumericalSemigroup(NamedTuple):
         return self.contains(x)
 
     @property
+    def frobenius(self) -> int:
+        """The largest gap, -1 when there is none."""
+        return max(self.apery) - len(self.apery)
+
+    @property
+    def genus(self) -> int:
+        """The number of gaps."""
+        return self.gap_count_above(0)
+
+    @property
     def gaps(self) -> tuple[int, ...]:
         """All gaps, ascending: i, i + m, ..., apery[i] - m for each residue i."""
         m = len(self.apery)
         return tuple(sorted(v for i, w in enumerate(self.apery) for v in range(i, w, m)))
-
-    @property
-    def small_elements(self) -> tuple[bool, ...]:
-        """Membership of each of 0, 1, ..., frobenius + 1."""
-        return tuple(map(self.contains, range(self.frobenius + 2)))
 
     def gap_count_above(self, r: int) -> int:
         """Number of gaps >= r + 1, without listing the gaps i, i + m, ...,
@@ -136,19 +135,14 @@ def from_apery(ap: list, candidates: Iterable[int]) -> NumericalSemigroup:
     for c in sorted(set(candidates)):
         if not any(c - n >= ap[(c - n) % m] for n in min_gens):
             min_gens.append(c)
-    return NumericalSemigroup(
-        min_generators=tuple(min_gens),
-        apery=tuple(ap),
-        frobenius=max(ap) - m,
-        genus=(sum(ap) - m * (m - 1) // 2) // m,
-    )
+    return NumericalSemigroup(tuple(min_gens), tuple(ap))
 
 
 def ray(m: int) -> NumericalSemigroup:
     """{0, m, m+1, ...} in O(m): generators m..2m-1, Apéry set (0, m+1, ..., 2m-1)."""
     ap = apery_table(m)
     ap[1:] = range(m + 1, 2 * m)
-    return NumericalSemigroup(tuple(range(m, 2 * m)), tuple(ap), ap[-1] - m, m - 1)
+    return NumericalSemigroup(tuple(range(m, 2 * m)), tuple(ap))
 
 
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
@@ -219,4 +213,4 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     ap = list(s.apery)
     ap[m % n1] = m + n1
     new_gens = gens[:gens.index(m)] + generators_after(gens, s.apery, m)
-    return NumericalSemigroup(new_gens, tuple(ap), m, s.genus + 1)
+    return NumericalSemigroup(new_gens, tuple(ap))

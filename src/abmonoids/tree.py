@@ -61,11 +61,6 @@ class SolutionSet(NamedTuple):
     truncated: bool
 
 
-def variety_root(r: int) -> NumericalSemigroup:
-    """The maximum admissible semigroup {0, r+1, ->} (all integers when r=0)."""
-    return ray(r + 1)
-
-
 class Preimages(dict):
     """The pruning data of one instance, filled on first use: the entry for
     m is ``(0,)`` when m is a seed value, and otherwise the ascending
@@ -122,8 +117,9 @@ def admissible(above: Sequence[int], ap: Sequence[int], f: int, pre: Preimages) 
 
 def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemigroup]:
     """Admissible single-generator removals, ascending by removed generator."""
-    above = [m for m in s.min_generators if m > s.frobenius]
-    ms = admissible(above, s.apery, s.frobenius, Preimages(inst))
+    f = s.frobenius
+    above = [m for m in s.min_generators if m > f]
+    ms = admissible(above, s.apery, f, Preimages(inst))
     return [remove_generator(s, m) for m in ms]
 
 
@@ -146,7 +142,7 @@ def _walk(
     if max_nodes < 0:
         raise ValueError("max_nodes must be non-negative")
     # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
-    root = variety_root(inst.r)
+    root = ray(inst.r + 1)
     gens, ap, f = root.min_generators, list(root.apery), root.frobenius
     above = gens
     # one frame per vertex above the current one: its generators, its table,
@@ -196,10 +192,10 @@ def enumerate_levels(
     Ends early at the last non-empty depth when the tree is exhausted.
     """
     levels: list[list[NumericalSemigroup]] = []
-    for gens, _, ap, f, depth in _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes):
+    for gens, _, ap, _, depth in _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes):
         if depth == len(levels):  # preorder reaches depth k after depth k - 1
             levels.append([])
-        levels[depth].append(NumericalSemigroup(gens, tuple(ap), f, inst.r + depth))
+        levels[depth].append(NumericalSemigroup(gens, tuple(ap)))
     return levels
 
 

@@ -98,21 +98,25 @@ def recomputed_min_generators(s: NumericalSemigroup) -> tuple[int, ...]:
 def semigroup_from_members(contains, frobenius: int) -> NumericalSemigroup:
     """The numerical semigroup with membership test ``contains`` and Frobenius
     number ``frobenius``, every field computed from membership alone: each
-    Apéry element is at most frobenius + multiplicity."""
+    Apéry element is at most frobenius + multiplicity.  The Frobenius number
+    and genus the value reads off its Apéry set must match those counted
+    from membership."""
     gens = _min_generators_of(contains, frobenius)
     m = gens[0]
     members = [v for v in range(frobenius + m + 1) if contains(v)]
     gaps = frobenius + 1 - sum(1 for v in members if v <= frobenius)
-    return NumericalSemigroup(gens, smallest_by_residue(members, m), frobenius, gaps)
+    s = NumericalSemigroup(gens, smallest_by_residue(members, m))
+    assert (s.frobenius, s.genus) == (frobenius, gaps), (s, frobenius, gaps)
+    return s
 
 
 def assert_semigroup_consistent(s: NumericalSemigroup) -> None:
     """Field-level consistency: gaps/genus/frobenius/table/msg/apery and the
     gap counts above each floor all agree."""
     assert s.genus == len(s.gaps)
-    assert len(s.small_elements) == s.frobenius + 2
-    assert s.small_elements[0] is True or s.small_elements[0]
-    assert s.gaps == tuple(i for i in range(s.frobenius + 2) if not s.small_elements[i])
+    table = [s.contains(v) for v in range(s.frobenius + 2)]  # membership of 0..F+1
+    assert table[0]
+    assert s.gaps == tuple(i for i, member in enumerate(table) if not member)
     if s.gaps:
         assert s.gaps[-1] == s.frobenius
     else:
@@ -125,7 +129,7 @@ def assert_semigroup_consistent(s: NumericalSemigroup) -> None:
     m = s.min_generators[0]
     assert s.apery == smallest_by_residue(saturated_members(s.min_generators, s.frobenius + m), m)
     # closure under addition, exhaustively on the table range
-    members = [v for v in range(s.frobenius + 2) if s.contains(v)]
+    members = [v for v, member in enumerate(table) if member]
     for u in members:
         for v in members:
             assert s.contains(u + v), (s, u, v)

@@ -11,7 +11,6 @@ from math import gcd, inf
 
 from abmonoids import (
     ProblemInstance,
-    children,
     closure,
     enumerate_levels,
     feasible,
@@ -21,6 +20,7 @@ from abmonoids import (
     oracle_solve,
     solve,
 )
+from abmonoids.tree import children
 
 from conftest import assert_tree_invariants, instance_corpus
 

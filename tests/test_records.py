@@ -43,8 +43,25 @@ def test_replace_normalises_and_validates():
     assert seeded == ProblemInstance(a=(1, 2), b=(4, 1), x={1}, g=6)
     with pytest.raises(ValueError, match="g must be non-negative"):
         inst._replace(g=-1)
+    with pytest.raises(ValueError, match="^g must hold only integers$"):
+        inst._replace(g=2.5)
     with pytest.raises(ValueError, match=r"x must be a subset of \{4, 5, \.\.\.\}"):
         inst._replace(r=3, x={2})
+
+
+@pytest.mark.parametrize(
+    "field, fields",
+    [
+        ("a", dict(a=(1.5,), b=(2,))),
+        ("b", dict(a=(1,), b=("2",))),
+        ("x", dict(x={2.5})),
+        ("g", dict(g=2.5)),
+        ("r", dict(r=1.0)),
+    ],
+)
+def test_non_integer_values_are_refused(field, fields):
+    with pytest.raises(ValueError, match=f"^{field} must hold only integers$"):
+        ProblemInstance(**fields)
 
 
 def test_feasibility_is_false_when_infeasible():
@@ -54,9 +71,9 @@ def test_feasibility_is_false_when_infeasible():
 
 
 def test_submonoid_equality_uses_the_generators():
-    # two values of <3,4> that differ in their derived fields are one semigroup
+    # two values of <3,4> that differ in their Apéry sets are one semigroup
     s = from_generators((3, 4))
-    odd = s._replace(genus=s.genus + 1)
+    odd = s._replace(apery=from_generators((3, 5)).apery)
     assert SubmonoidRep(1, s) == SubmonoidRep(1, odd)
     assert hash(SubmonoidRep(1, s)) == hash(SubmonoidRep(1, odd))
     assert SubmonoidRep(1, s) != SubmonoidRep(2, s)

@@ -3,8 +3,8 @@ import math
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from abmonoids import ResourceLimitError, from_generators, remove_generator
-from abmonoids.semigroup import MAX_TABLE_SIZE, generators_after
+from abmonoids import NumericalSemigroup, ResourceLimitError, from_generators
+from abmonoids.semigroup import MAX_TABLE_SIZE, generators_after, remove_generator
 
 from conftest import (
     assert_semigroup_consistent,
@@ -116,12 +116,21 @@ class TestImmutableValue:
     def test_attributes_cannot_be_assigned(self):
         s = from_generators({5, 7, 9})
         with pytest.raises(AttributeError):
+            s.apery = (0, 1, 2, 3, 4)
+        with pytest.raises(AttributeError):
             s.genus = 0
         with pytest.raises(AttributeError):
             s.note = "x"
 
+    def test_stores_the_generators_and_the_apery_set_alone(self):
+        assert NumericalSemigroup._fields == ("min_generators", "apery")
+        s = from_generators({5, 7, 9})
+        assert tuple(s) == ((5, 7, 9), (0, 16, 7, 18, 9))
+        # read off the Apéry set: the largest gap 18 - 5, and 0 + 3 + 1 + 3 + 1 gaps
+        assert (s.frobenius, s.genus) == (13, 8)
+
     def test_in_is_semigroup_membership(self):
-        # 7 is the Frobenius number, a stored field, yet a gap
+        # 7 is the Frobenius number, yet a gap
         s = from_generators({3, 5})
         assert s.frobenius == 7
         assert 7 not in s
@@ -131,8 +140,8 @@ class TestImmutableValue:
         s = from_generators({5, 7, 9})
         t = from_generators({9, 7, 5, 14})
         assert s == t and hash(s) == hash(t) == hash((5, 7, 9))
-        # the derived fields take no part in the comparison
-        other_fields = s._replace(genus=s.genus + 1)
+        # the Apéry set takes no part in the comparison: here <5,7,8>'s
+        other_fields = s._replace(apery=from_generators({5, 7, 8}).apery)
         assert s == other_fields and not s != other_fields
         assert s != from_generators({5, 7, 8})
 

@@ -13,7 +13,6 @@ from abmonoids import (
     ResourceLimitError,
     SolutionSet,
     check_conditions,
-    children,
     closure,
     enumerate_levels,
     export_tree,
@@ -21,10 +20,9 @@ from abmonoids import (
     from_generators,
     oracle_solve,
     solve,
-    variety_root,
 )
 from abmonoids.semigroup import MAX_TABLE_SIZE, generators_after, ray, remove_generator
-from abmonoids.tree import Preimages, admissible
+from abmonoids.tree import Preimages, admissible, children
 
 from conftest import (
     A007323,
@@ -99,11 +97,12 @@ def _label(s):
 
 
 class TestVarietyRoot:
+    # the root {0, r+1, ->} of the tree is ray(r + 1)
     def test_plain_root_is_naturals(self):
-        assert variety_root(0) == from_generators({1})
+        assert ray(1) == from_generators({1})
 
     def test_floored_root_is_shifted_ray(self):
-        root = variety_root(3)
+        root = ray(4)
         assert root.min_generators == (4, 5, 6, 7)
         assert root.gaps == (1, 2, 3)
         assert root.genus == 3
@@ -111,7 +110,9 @@ class TestVarietyRoot:
     def test_fields_match_from_generators(self):
         # == compares only the minimal generators, so compare every field
         for r in range(60):
-            assert tuple(variety_root(r)) == tuple(from_generators(range(r + 1, 2 * r + 2))), r
+            root = ray(r + 1)
+            assert tuple(root) == tuple(from_generators(range(r + 1, 2 * r + 2))), r
+            assert (root.frobenius, root.genus) == (r if r else -1, r), r
 
     def test_multiplicity_above_the_table_cap_refused(self):
         with pytest.raises(ResourceLimitError, match=f"exceed {MAX_TABLE_SIZE} entries for multiplicity {MAX_TABLE_SIZE + 1}$"):
@@ -137,7 +138,7 @@ class TestChildren:
         assert children(from_generators({2, 5}), WORKED) == []
 
     def test_ascending_by_removed_generator(self):
-        kids = children(variety_root(3), SCALED_FLOOR)
+        kids = children(ray(4), SCALED_FLOOR)
         assert [k.frobenius for k in kids] == [4, 5, 7]
 
 
@@ -193,7 +194,7 @@ class TestEnumerate:
             for child in children(s, WORKED):
                 yield from preorder_depths(child, depth + 1)
 
-        depths = list(preorder_depths(variety_root(0), 0))
+        depths = list(preorder_depths(ray(1), 0))
         assert len(depths) == 18
         for k in range(18):
             with pytest.raises(ResourceLimitError, match=f"exceeded {k} nodes at depth") as exc:
