@@ -50,7 +50,7 @@ def main() -> int:
     for k in range(args.count):
         inst = random_instance(rng, **{name: getattr(args, name) for name in bounds})
         got = solve(inst).solutions
-        want = oracle_solve(inst).solutions
+        want = oracle_solve(inst)
         if got != want:
             print(f"MISMATCH on instance {k}: {inst}")
             print(f"  tree engine:  {got}")

@@ -5,12 +5,14 @@ Commands
   feasible      decide whether a size-g solution exists (exit 1 if not)
   one           print one solution (exit 1 if infeasible)
   solve         print every solution, one per line, lexicographic
-  oracle-solve  like solve, using the brute-force engine
+  oracle-solve  the same listing from the brute-force engine
   tree          write the admissible-semigroup tree as DOT
 
 Exit codes: 0 success, 1 infeasible/no, 2 usage error or unwritable
---out path, 3 resource limit or 64-bit overflow.  Solution listings go to stdout; the summary line
-``# solutions=N nodes=M`` goes to stderr so stdout stays diffable.
+--out path, 3 resource limit or 64-bit overflow.  Solution listings go to
+stdout; the summary line goes to stderr so stdout stays diffable:
+``# solutions=N nodes=M`` for ``solve``, ``# solutions=N`` for
+``oracle-solve``.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ def build_parser() -> argparse.ArgumentParser:
     def instance_flags(p, with_g):
         # Set per subparser: Python versions differ on whether parent defaults win.
         # ``parser`` lets the checks made after argparse report with this usage.
-        p.set_defaults(g=0, depth=None, max_nodes=DEFAULT_NODE_BUDGET, engine="tree", parser=p)
+        p.set_defaults(g=0, depth=None, max_nodes=DEFAULT_NODE_BUDGET, parser=p)
         p.add_argument("--a", type=_csv_ints, default=(), metavar="A1,A2,..",
                        help="affine multipliers (omit together with --b for none)")
         p.add_argument("--b", type=_csv_ints, default=(), metavar="B1,B2,..",
@@ -71,12 +73,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("solve", help="print all solutions")
     instance_flags(p, with_g=True)
-    p.add_argument("--engine", choices=("tree", "oracle"), default="tree")
     p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
 
     p = sub.add_parser("oracle-solve", help="print all solutions (brute-force engine)")
     instance_flags(p, with_g=True)
-    p.set_defaults(engine="oracle")
 
     p = sub.add_parser("tree", help="write the semigroup tree as DOT")
     instance_flags(p, with_g=False)
@@ -116,8 +116,14 @@ def _emit(args: argparse.Namespace, text: str) -> int:
     return 0
 
 
-def _format_solution(sol: tuple[int, ...]) -> str:
-    return ",".join(map(str, sol))
+def _solution_lines(sols) -> str:
+    """One line per solution, its values ascending and comma-separated."""
+    if len(sols) == 1:  # no value repeats, and `one` may start at any floor
+        return ",".join(map(str, sols[0])) + "\n"
+    # one digit string per value up to the largest, made once for all lines:
+    # `solve` lists values below 2 * (r + g), and its root's table caps r
+    digits = [str(v) for v in range(max((sol[-1] for sol in sols if sol), default=0) + 1)]
+    return "".join(",".join([digits[v] for v in sol]) + "\n" for sol in sols)
 
 
 def _cmd_closure(args: argparse.Namespace) -> int:
@@ -142,28 +148,29 @@ def _cmd_one(args: argparse.Namespace) -> int:
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 1
-    return _emit(args, _format_solution(sol) + "\n")
+    return _emit(args, _solution_lines((sol,)))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
-    if args.engine == "oracle":
-        result = oracle_solve(args.instance)
-    else:
-        result = solve(args.instance, max_nodes=args.max_nodes)
-        if result.truncated:
-            print(
-                f"error: node budget exhausted after {result.node_count} nodes; "
-                "rerun with a larger --max-nodes",
-                file=sys.stderr,
-            )
-            return 3
-    sols = result.solutions
-    # one digit string per value up to the largest, each solution ascending
-    digits = [str(v) for v in range(max((sol[-1] for sol in sols if sol), default=0) + 1)]
-    payload = "".join(",".join([digits[v] for v in sol]) + "\n" for sol in sols)
-    code = _emit(args, payload)
+    result = solve(args.instance, max_nodes=args.max_nodes)
+    if result.truncated:
+        print(
+            f"error: node budget exhausted after {result.node_count} nodes; "
+            "rerun with a larger --max-nodes",
+            file=sys.stderr,
+        )
+        return 3
+    code = _emit(args, _solution_lines(result.solutions))
     if not code:
         print(f"# solutions={len(result.solutions)} nodes={result.node_count}", file=sys.stderr)
+    return code
+
+
+def _cmd_oracle_solve(args: argparse.Namespace) -> int:
+    sols = oracle_solve(args.instance)
+    code = _emit(args, _solution_lines(sols))
+    if not code:
+        print(f"# solutions={len(sols)}", file=sys.stderr)
     return code
 
 
@@ -176,7 +183,7 @@ _COMMANDS = {
     "feasible": _cmd_feasible,
     "one": _cmd_one,
     "solve": _cmd_solve,
-    "oracle-solve": _cmd_solve,
+    "oracle-solve": _cmd_oracle_solve,
     "tree": _cmd_tree,
 }
 

@@ -2,7 +2,8 @@
 
 Candidates are checked directly against the defining conditions of the
 problem, with no semigroup machinery, so this module is an independent
-cross-check for the tree-based solver.  It is intentionally naive.
+cross-check for the tree-based solver: it shares no code or type with the
+tree engine and returns plain tuples.  It is intentionally naive.
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from itertools import combinations
 
 from .closure import ProblemInstance
 from .errors import ResourceLimitError
-from .tree import SolutionSet
 
 DEFAULT_SCALE_BOUND = 9
 
@@ -54,8 +54,9 @@ def _sum_condition_holds(cset: set[int], lo: int, top: int) -> bool:
     return True
 
 
-def oracle_solve(inst: ProblemInstance) -> SolutionSet:
-    """Every solution, by exhaustive enumeration of a finite candidate space.
+def oracle_solve(inst: ProblemInstance) -> tuple[tuple[int, ...], ...]:
+    """Every solution, each ascending, in lexicographic order, by exhaustive
+    enumeration of a finite candidate space.
 
     A solution C has complement S = {0, r+1, ->} \\ C that is a numerical
     semigroup with exactly r + g gaps, and its largest gap F obeys
@@ -74,11 +75,5 @@ def oracle_solve(inst: ProblemInstance) -> SolutionSet:
             f"r + g = {inst.r + inst.g} exceeds the brute-force bound {DEFAULT_SCALE_BOUND}"
         )
     universe = range(inst.r + 1, 2 * (inst.r + inst.g))
-    examined = 0
-    sols = []
-    for combo in combinations(universe, inst.g):
-        examined += 1
-        if check_conditions(combo, inst):
-            sols.append(combo)
     # combinations() yields ascending tuples in lexicographic order already
-    return SolutionSet(tuple(sols), examined, False)
+    return tuple(c for c in combinations(universe, inst.g) if check_conditions(c, inst))

@@ -12,9 +12,10 @@ integers (its *gaps*).  A value is a named tuple of two fields:
 
 The Frobenius number (the largest gap, ``max(apery) - m``, or -1 when
 there is none), the genus (the number of gaps) and the gap list are read
-off the Apéry set on request.  Two values are equal exactly when their
-minimal generating sets are equal; the Apéry set is derived data.  The
-tuple only backs the storage: ``x in s`` is semigroup membership, not a
+off the Apéry set on request.  Values compare and hash as tuples, field
+by field; the Apéry set of every value the package builds follows from
+the minimal generators, so two such values are equal exactly when their
+minimal generating sets are.  ``x in s`` is semigroup membership, not a
 search of the fields, and the fields cannot be reassigned.
 
 Apéry sets are built one generator at a time by the round-robin pass of
@@ -68,18 +69,6 @@ class NumericalSemigroup(NamedTuple):
         apery[i] - m of each residue i; the first >= r + 1 is r + 1 + (i - r - 1) % m."""
         m = len(self.apery)
         return sum(max(0, (w - r - 1 - (i - r - 1) % m) // m) for i, w in enumerate(self.apery))
-
-    def __eq__(self, other):
-        if not isinstance(other, NumericalSemigroup):
-            return NotImplemented
-        return self.min_generators == other.min_generators
-
-    def __ne__(self, other):  # tuple's own __ne__ would compare every field
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
-    def __hash__(self):
-        return hash(self.min_generators)
 
     def __repr__(self):
         return "<" + ",".join(map(str, self.min_generators)) + ">"
@@ -166,39 +155,17 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     return from_apery(ap, gen_list)
 
 
-def generators_after(gens: tuple[int, ...], ap, m: int) -> tuple[int, ...]:
-    """The minimal generators above ``m`` of S minus ``m``, ascending, where S
-    is the semigroup with minimal generators ``gens`` and Apéry table ``ap``
-    and m is one of its generators above its Frobenius number.
-
-    They are read off S without building the smaller semigroup: its
-    members are those of S except m, so they are the generators of S above
-    m, plus ``m + multiplicity`` unless some smaller generator ``n_j`` has
-    ``m + multiplicity - n_j`` in S.  Removing the multiplicity only
-    happens when S is ``{0, m, m+1, ...}``, which leaves the ray generated
-    by m+1..2m+1.
-    """
-    n1 = gens[0]
-    if m == n1:
-        return tuple(range(m + 1, 2 * m + 2))
-    i = gens.index(m)
-    for g in gens[1:i]:
-        c = m + n1 - g
-        if c >= ap[c % n1]:
-            return gens[i + 1:]
-    # appending keeps the order: each generator g has g - n1 <= frobenius < m
-    return gens[i + 1:] + (m + n1,)
-
-
 def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     """The semigroup ``s`` minus the minimal generator ``m``, for m > frobenius.
 
     The removal keeps every other element, so the result has Frobenius
-    number ``m`` and one more gap.  Its minimal generators are the
-    generators of ``s`` below m followed by ``generators_after``;
-    removing the multiplicity shifts the whole ray and changes the
-    modulus.  Otherwise the Apéry element of m's residue moves from m to
-    m + multiplicity, the smallest member left there.
+    number ``m`` and one more gap.  Removing the multiplicity shifts the
+    whole ray and changes the modulus.  Otherwise the Apéry element of m's
+    residue moves from m to m + multiplicity, the smallest member left
+    there.  The minimal generators are found among the other generators of
+    ``s`` and m + n_1, n_1 the multiplicity: a new one has the form m + t
+    with t a nonzero member, and for t > n_1, m + t = n_1 + (m + t - n_1)
+    is a sum of two members left.
     """
     gens = s.min_generators
     if m not in gens:
@@ -212,5 +179,4 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
         return ray(m + 1)
     ap = list(s.apery)
     ap[m % n1] = m + n1
-    new_gens = gens[:gens.index(m)] + generators_after(gens, s.apery, m)
-    return NumericalSemigroup(new_gens, tuple(ap))
+    return from_apery(ap, [g for g in gens if g != m] + [m + n1])

@@ -47,7 +47,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .closure import ProblemInstance
 from .errors import ResourceLimitError
-from .semigroup import NumericalSemigroup, generators_after, ray, remove_generator
+from .semigroup import NumericalSemigroup, ray, remove_generator
 from .semigroup import from_generators  # noqa: F401  (the benchmark's tracer wraps this name here)
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -115,12 +115,44 @@ def admissible(above: Sequence[int], ap: Sequence[int], f: int, pre: Preimages) 
     return out
 
 
+def generators_after(gens: tuple[int, ...], ap, m: int) -> tuple[int, ...]:
+    """The minimal generators above ``m`` of S minus ``m``, ascending, where S
+    is the semigroup with minimal generators ``gens`` and Apéry table ``ap``
+    and m is one of its generators above its Frobenius number.
+
+    They are read off S without building the smaller semigroup: its
+    members are those of S except m, so they are the generators of S above
+    m, plus ``m + multiplicity`` unless some smaller generator ``n_j`` has
+    ``m + multiplicity - n_j`` in S.  Removing the multiplicity only
+    happens when S is ``{0, m, m+1, ...}``, which leaves the ray generated
+    by m+1..2m+1.
+    """
+    n1 = gens[0]
+    if m == n1:
+        return tuple(range(m + 1, 2 * m + 2))
+    i = gens.index(m)
+    for g in gens[1:i]:
+        c = m + n1 - g
+        if c >= ap[c % n1]:
+            return gens[i + 1:]
+    # appending keeps the order: each generator g has g - n1 <= frobenius < m
+    return gens[i + 1:] + (m + n1,)
+
+
 def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemigroup]:
     """Admissible single-generator removals, ascending by removed generator."""
     f = s.frobenius
     above = [m for m in s.min_generators if m > f]
     ms = admissible(above, s.apery, f, Preimages(inst))
     return [remove_generator(s, m) for m in ms]
+
+
+def _check_count(name: str, value) -> None:
+    """Refuse a depth or a node budget that is not a non-negative ``int``."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer")
+    if value < 0:
+        raise ValueError(f"{name} must be non-negative")
 
 
 def _walk(
@@ -137,10 +169,8 @@ def _walk(
     ResourceLimitError on vertex max_nodes + 1, since a truncated
     enumeration cannot certify a complete answer.
     """
-    if depth_limit < 0:
-        raise ValueError("depth_limit must be non-negative")
-    if max_nodes < 0:
-        raise ValueError("max_nodes must be non-negative")
+    _check_count("depth_limit", depth_limit)
+    _check_count("max_nodes", max_nodes)
     # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
     root = ray(inst.r + 1)
     gens, ap, f = root.min_generators, list(root.apery), root.frobenius
@@ -214,8 +244,7 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     empty solution list, the truncated flag set and ``max_nodes + 1``
     nodes, the vertex the budget tripped on.
     """
-    if max_nodes < 0:  # _walk's own check would see max_nodes + 1
-        raise ValueError("max_nodes must be non-negative")
+    _check_count("max_nodes", max_nodes)  # _walk's own check would see max_nodes + 1
     refused = SolutionSet((), max_nodes + 1, True)
     if not inst.g:  # the root is the one depth-0 vertex, with no gaps above r
         return SolutionSet(((),), 1, False) if max_nodes >= 1 else refused

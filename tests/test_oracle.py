@@ -1,6 +1,7 @@
+import ast
 import importlib
 from itertools import combinations
-from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -44,7 +45,7 @@ class TestCheckConditions:
 
 class TestOracleSolve:
     def test_worked(self):
-        assert oracle_solve(WORKED).solutions == (
+        assert oracle_solve(WORKED) == (
             (1, 2, 3, 4, 6, 7),
             (1, 2, 3, 4, 6, 8),
             (1, 2, 3, 4, 7, 8),
@@ -52,7 +53,7 @@ class TestOracleSolve:
 
     def test_scaled(self):
         inst = ProblemInstance(a=(2, 3), b=(4, 2), x={6, 8}, g=4, r=0)
-        assert oracle_solve(inst).solutions == (
+        assert oracle_solve(inst) == (
             (1, 2, 3, 4),
             (1, 2, 3, 5),
             (1, 2, 3, 7),
@@ -63,14 +64,10 @@ class TestOracleSolve:
 
     def test_floored(self):
         inst = ProblemInstance(a=(2, 3), b=(4, 2), x={6, 8}, g=4, r=3)
-        assert len(oracle_solve(inst).solutions) == 9
+        assert len(oracle_solve(inst)) == 9
 
     def test_zero_size(self):
-        assert oracle_solve(ProblemInstance(a=(1,), b=(1,), x={2}, g=0)).solutions == ((),)
-
-    def test_candidates_examined(self):
-        # universe {1..11} for r=0, g=6
-        assert oracle_solve(WORKED).node_count == comb(11, 6)
+        assert oracle_solve(ProblemInstance(a=(1,), b=(1,), x={2}, g=0)) == ((),)
 
     def test_brute_force_bound(self, monkeypatch):
         inst = ProblemInstance(a=(1,), b=(1,), x={8}, g=7, r=3)
@@ -101,6 +98,20 @@ def test_universe_bound_loses_nothing():
     # widening the candidate range beyond 2*(r+g)-1 never finds more solutions
     for inst in instance_corpus(60):
         wider = combinations(range(inst.r + 1, 2 * (inst.r + inst.g) + 5), inst.g)
-        assert oracle_solve(inst).solutions == tuple(
+        assert oracle_solve(inst) == tuple(
             c for c in wider if check_conditions(c, inst)
         )
+
+
+def test_oracle_imports_nothing_from_the_tree_engine():
+    # the reference solver is a fair check only while it shares no code
+    # with the walk: from the package it may use the instance record and
+    # the error types alone
+    source = Path(importlib.import_module("abmonoids.oracle").__file__).read_text()
+    imported = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert {m for m in imported if m.startswith((".", "abmonoids"))} == {".closure", ".errors"}

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from abmonoids import NumericalSemigroup, ResourceLimitError, from_generators
-from abmonoids.semigroup import MAX_TABLE_SIZE, generators_after, remove_generator
+from abmonoids.semigroup import MAX_TABLE_SIZE, remove_generator
+from abmonoids.tree import generators_after
 
 from conftest import (
     assert_semigroup_consistent,
@@ -137,12 +138,15 @@ class TestImmutableValue:
         assert 8 in s
 
     def test_equality_and_hash_on_min_generators_alone(self):
+        # equality and hash are the tuple's, field by field; every value the
+        # package builds has the Apéry set its minimal generators give
         s = from_generators({5, 7, 9})
         t = from_generators({9, 7, 5, 14})
-        assert s == t and hash(s) == hash(t) == hash((5, 7, 9))
-        # the Apéry set takes no part in the comparison: here <5,7,8>'s
+        assert s == t and not s != t
+        assert hash(s) == hash(t) == hash(((5, 7, 9), (0, 16, 7, 18, 9)))
+        # a hand-made value with another Apéry set (here <5,7,8>'s) differs
         other_fields = s._replace(apery=from_generators({5, 7, 8}).apery)
-        assert s == other_fields and not s != other_fields
+        assert s != other_fields and not s == other_fields
         assert s != from_generators({5, 7, 8})
 
     def test_repr(self):

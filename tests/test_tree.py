@@ -21,8 +21,8 @@ from abmonoids import (
     oracle_solve,
     solve,
 )
-from abmonoids.semigroup import MAX_TABLE_SIZE, generators_after, ray, remove_generator
-from abmonoids.tree import Preimages, admissible, children
+from abmonoids.semigroup import MAX_TABLE_SIZE, ray, remove_generator
+from abmonoids.tree import Preimages, admissible, children, generators_after
 
 from conftest import (
     A007323,
@@ -206,21 +206,28 @@ class TestEnumerate:
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError, match="depth_limit must be non-negative"):
             enumerate_levels(WORKED, -1)
+        # a depth that is not an int is refused too, not rounded up
+        for run, depth in ((enumerate_levels, 1.5), (export_tree, 0.5)):
+            with pytest.raises(ValueError, match="^depth_limit must be an integer$"):
+                run(WORKED, depth)
 
 
 @pytest.mark.parametrize("g", [0, 6])
 @pytest.mark.parametrize(
     "run",
     [
-        lambda inst: solve(inst, max_nodes=-1),
-        lambda inst: enumerate_levels(inst, inst.g, max_nodes=-1),
-        lambda inst: export_tree(inst, inst.g, max_nodes=-1),
+        lambda inst, budget: solve(inst, max_nodes=budget),
+        lambda inst, budget: enumerate_levels(inst, inst.g, max_nodes=budget),
+        lambda inst, budget: export_tree(inst, inst.g, max_nodes=budget),
     ],
     ids=["solve", "enumerate_levels", "export_tree"],
 )
 def test_negative_node_budget_rejected(run, g):
     with pytest.raises(ValueError, match="^max_nodes must be non-negative$"):
-        run(WORKED._replace(g=g))
+        run(WORKED._replace(g=g), -1)
+    # a budget that is not an int is refused too, not compared as a fraction
+    with pytest.raises(ValueError, match="^max_nodes must be an integer$"):
+        run(WORKED._replace(g=g), 2.5)
 
 
 class TestSolve:
@@ -366,7 +373,7 @@ def small_instances(draw):
 @given(small_instances())
 @settings(max_examples=60, deadline=None)
 def test_solve_matches_oracle(inst):
-    assert solve(inst).solutions == oracle_solve(inst).solutions
+    assert solve(inst).solutions == oracle_solve(inst)
 
 
 @given(small_instances())
