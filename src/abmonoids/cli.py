@@ -154,12 +154,10 @@ def _cmd_one(args: argparse.Namespace) -> int:
 def _cmd_solve(args: argparse.Namespace) -> int:
     result = solve(args.instance, max_nodes=args.max_nodes)
     if result.truncated:
-        print(
-            f"error: node budget exhausted after {result.node_count} nodes; "
-            "rerun with a larger --max-nodes",
-            file=sys.stderr,
+        raise ResourceLimitError(
+            f"node budget exhausted after {result.node_count} nodes; "
+            "rerun with a larger --max-nodes"
         )
-        return 3
     code = _emit(args, _solution_lines(result.solutions))
     if not code:
         print(f"# solutions={len(result.solutions)} nodes={result.node_count}", file=sys.stderr)

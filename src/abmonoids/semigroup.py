@@ -20,7 +20,8 @@ search of the fields, and the fields cannot be reassigned.
 
 Apéry sets are built one generator at a time by the round-robin pass of
 Böcker and Lipták (2007), see ``add_generator``; the stored semigroup
-never needs a bound on its Frobenius number.
+never needs a bound on its Frobenius number.  Generators are adjoined
+ascending, and only those not yet members: exactly the minimal ones.
 """
 
 from __future__ import annotations
@@ -86,7 +87,7 @@ def apery_table(m: int) -> list:
 
 
 def add_generator(ap: list, g: int) -> None:
-    """Adjoin the generator ``g`` to the Apéry table ``ap`` in place.
+    """Adjoin ``g``, not yet a member, to the Apéry table ``ap`` in place.
 
     ``ap[i]`` is the smallest member congruent to ``i`` modulo len(ap),
     or inf when no member is.  Adding g links the residues into gcd(g, m)
@@ -95,8 +96,6 @@ def add_generator(ap: list, g: int) -> None:
     against its predecessor plus g (Böcker & Lipták 2007).
     """
     m = len(ap)
-    if g >= ap[g % m]:
-        return  # already a member
     d = math.gcd(g, m)
     for r in range(d):
         n = min(ap[r::d])
@@ -109,22 +108,6 @@ def add_generator(ap: list, g: int) -> None:
                 n = ap[p]
             else:
                 ap[p] = n
-
-
-def from_apery(ap: list, candidates: Iterable[int]) -> NumericalSemigroup:
-    """The semigroup whose complete Apéry table modulo its multiplicity is ``ap``.
-
-    ``candidates`` must be members and contain every minimal generator.  In
-    ascending order, a candidate c is one exactly when no smaller minimal
-    generator n leaves c - n a member: a sum c = s + t of nonzero members
-    has some minimal generator n <= s with s - n, hence c - n, a member.
-    """
-    m = len(ap)
-    min_gens: list[int] = []
-    for c in sorted(set(candidates)):
-        if not any(c - n >= ap[(c - n) % m] for n in min_gens):
-            min_gens.append(c)
-    return NumericalSemigroup(tuple(min_gens), tuple(ap))
 
 
 def ray(m: int) -> NumericalSemigroup:
@@ -149,10 +132,14 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     d = math.gcd(*gen_list)
     if d != 1:
         raise ValueError(f"gcd of generators is {d}, expected 1")
-    ap = apery_table(gen_list[0])
+    m = gen_list[0]
+    ap = apery_table(m)
+    min_gens = [m]
     for g in gen_list[1:]:
-        add_generator(ap, g)
-    return from_apery(ap, gen_list)
+        if g < ap[g % m]:
+            add_generator(ap, g)
+            min_gens.append(g)
+    return NumericalSemigroup(tuple(min_gens), tuple(ap))
 
 
 def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
@@ -162,10 +149,10 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     number ``m`` and one more gap.  Removing the multiplicity shifts the
     whole ray and changes the modulus.  Otherwise the Apéry element of m's
     residue moves from m to m + multiplicity, the smallest member left
-    there.  The minimal generators are found among the other generators of
-    ``s`` and m + n_1, n_1 the multiplicity: a new one has the form m + t
-    with t a nonzero member, and for t > n_1, m + t = n_1 + (m + t - n_1)
-    is a sum of two members left.
+    there.  ``from_generators`` builds it afresh from the other generators
+    of ``s`` and m + n_1, n_1 the multiplicity: a new minimal generator is
+    m + t with t a nonzero member, and for t > n_1, m + t = n_1 + (m + t -
+    n_1) is a sum of two members left.
     """
     gens = s.min_generators
     if m not in gens:
@@ -177,6 +164,4 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     if m == n1:
         # m > frobenius forces s == {0, m, ->}; dropping m leaves {0, m+1, ->}.
         return ray(m + 1)
-    ap = list(s.apery)
-    ap[m % n1] = m + n1
-    return from_apery(ap, [g for g in gens if g != m] + [m + n1])
+    return from_generators([g for g in gens if g != m] + [m + n1])

@@ -100,6 +100,12 @@ class TestClosureCommand:
         assert code == 0
         assert out == "d=1 M=<5,6>\n"
 
+    def test_redundant_seed_is_not_mapped(self, capsys):
+        # 2**62 is already generated by 5 and 6, so its image 2**63 + 1 is
+        # never formed and cannot trip the 64-bit check
+        code, out, err = invoke(["closure", "--a", "2", "--b", "1", "--X", f"5,6,{2**62}"], capsys)
+        assert (code, out, err) == (0, "d=1 M=<5,6,13>\n", "")
+
     def test_overflow_is_exit_3(self, capsys):
         code, out, err = invoke(
             ["closure", "--a", str(2**40), "--b", "3", "--X", str(2**40)], capsys

@@ -118,6 +118,15 @@ class TestClosure:
         with pytest.raises(ResourceLimitError, match="closure generator set exceeded 1 elements"):
             closure((1,), (1,), {2})
 
+    def test_generator_budget_counts_minimal_generators(self, monkeypatch):
+        # the seeds 8 and 12 are members of <4,5,6,7>, so they do not count
+        closure_module = importlib.import_module("abmonoids.closure")
+        monkeypatch.setattr(closure_module, "DEFAULT_MAX_GENERATORS", 4)
+        assert repr(closure((1,), (1,), {4, 8, 12}).base) == "<4,5,6,7>"
+        monkeypatch.setattr(closure_module, "DEFAULT_MAX_GENERATORS", 3)
+        with pytest.raises(ResourceLimitError, match="closure generator set exceeded 3 elements"):
+            closure((1,), (1,), {4, 8, 12})
+
     def test_membership_queries(self):
         rep = closure((2, 3), (4, 2), {6, 8})
         members = [v for v in range(20) if rep.contains(v)]
@@ -285,18 +294,19 @@ def test_closure_commutes_with_scaling_up(inst, k):
 @settings(max_examples=80, deadline=None)
 def test_worklist_provenance_chain(inst):
     # every minimal generator is a divided seed value or the affine image of
-    # a smaller positive member; by induction on the generators, ascending,
-    # each lies in every (a, b)-monoid holding the seed, so with containment
-    # and closedness the closure is the smallest one
+    # a smaller minimal generator, the lemma the one ascending pass rests on;
+    # by induction on the generators, ascending, each lies in every
+    # (a, b)-monoid holding the seed, so with containment and closedness the
+    # closure is the smallest one
     rep = closure(inst.a, inst.b, inst.x)
     bs = tuple(v // rep.d for v in inst.b)
     xs = {v // rep.d for v in inst.x}
     gens = rep.base.min_generators
     assert all(rep.base.contains(v) for v in xs)
     assert is_affine_closed(gens, inst.a, bs)
-    positive = saturated_members(gens, max(gens)) - {0}
-    images = {ai * p + bi for ai, bi in zip(inst.a, bs) for p in positive}
-    for n in gens:
+    for i, n in enumerate(gens):
+        assert n not in saturated_members(gens[:i], n), (inst, n)  # minimal, ascending
+        images = {ai * p + bi for ai, bi in zip(inst.a, bs) for p in gens[:i]}
         assert n in xs or n in images, (inst, n)
 
 
