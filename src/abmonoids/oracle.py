@@ -47,9 +47,21 @@ def check_conditions(candidate, inst: ProblemInstance) -> bool:
 
 
 def _sum_condition_holds(cset: set[int], lo: int, top: int) -> bool:
-    for x in range(lo, top - lo + 1):
+    """Do no x <= y, both >= lo and outside ``cset``, sum into ``cset``?
+
+    ``top`` is max(cset), so a violating pair has x + y <= top, and with
+    x <= y that gives x <= top // 2 and x <= y <= top - x.  Pairs whose x
+    lies in ``cset`` never violate, so each such x is skipped before its
+    inner loop.  The pairs left are tested in ascending (x, y) order.
+    Cost: one membership test per x in [lo, top // 2], plus at most
+    top - 2x + 1 tests for each of the k values x there outside
+    ``cset``, so O(top + k * top) in all.
+    """
+    for x in range(lo, top // 2 + 1):
+        if x in cset:
+            continue
         for y in range(x, top - x + 1):
-            if (x + y) in cset and x not in cset and y not in cset:
+            if y not in cset and (x + y) in cset:
                 return False
     return True
 

@@ -196,6 +196,17 @@ def reference_admissible(s: NumericalSemigroup, inst: ProblemInstance) -> list[i
     return out
 
 
+def reference_sum_condition(cset: set[int], lo: int, top: int) -> bool:
+    """The paper's condition 2 on C = ``cset`` with floor ``lo`` and
+    top = max(C), by testing every pair lo <= x <= y with x + y <= top:
+    no such pair with both values outside C may sum into C."""
+    for x in range(lo, top - lo + 1):
+        for y in range(x, top - x + 1):
+            if (x + y) in cset and x not in cset and y not in cset:
+                return False
+    return True
+
+
 @functools.cache
 def bfs_levels(inst: ProblemInstance, depth: int) -> tuple:
     """Reference breadth-first levels 0..depth of the tree as (parent, vertex)

@@ -293,6 +293,18 @@ def test_module_entry_point():
     assert proc.stderr == "# solutions=3 nodes=16\n"
 
 
+def test_one_is_the_same_without_assertions():
+    # `one` verifies its answer only when assertions are on; -O must not
+    # change a byte of what it prints or its exit code
+    argv = ["-m", "abmonoids", "one", "--a", "2,3", "--b", "4,2", "--X", "6,8", "--g", "9", "--r", "3"]
+    runs = [
+        subprocess.run([sys.executable, *flags, *argv], capture_output=True, env=src_env())
+        for flags in ([], ["-O"])
+    ]
+    plain, optimised = ((p.returncode, p.stdout, p.stderr) for p in runs)
+    assert plain == optimised == (0, b"4,5,7,9,10,11,13,15,17\n", b"")
+
+
 def test_cli_import_leaves_out_dataclasses_and_inspect():
     # each costs a one-shot run start-up time, and inspect pulls in ast,
     # dis and tokenize; a fresh interpreter shows what the import loads

@@ -1,6 +1,7 @@
 import importlib
 import math
 import re
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -196,6 +197,23 @@ class TestOneSolution:
         assert one_solution(ProblemInstance(x={10007, 10009}, g=2, r=10005)) == (10006, 10008)
         with pytest.raises(InfeasibleError, match="only 50070024 exist"):
             one_solution(ProblemInstance(x={10007, 10009}, g=50_070_025))
+
+    def test_large_size_self_check_is_cheap(self):
+        # the self-check's sum condition skips every x in the answer, so a
+        # dense answer costs about one pass over it, not a pass per pair
+        start = time.perf_counter()
+        assert one_solution(ProblemInstance(g=20000)) == tuple(range(1, 20001))
+        sol = one_solution(ProblemInstance(a=(2,), b=(1,), x={71, 73}, g=900))
+        assert (len(sol), sol[-1]) == (900, 1631)
+        assert time.perf_counter() - start < 5
+
+    @pytest.mark.skipif(not __debug__, reason="the self-check runs only when assertions are on")
+    def test_self_check_guards_the_answer(self, monkeypatch):
+        monkeypatch.setattr(
+            importlib.import_module("abmonoids.oracle"), "check_conditions", lambda *_: False
+        )
+        with pytest.raises(AssertionError):
+            one_solution(ProblemInstance(g=3))
 
     @pytest.mark.parametrize(
         "inst",

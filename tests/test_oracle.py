@@ -9,7 +9,7 @@ from hypothesis import given, settings, strategies as st
 from abmonoids import ProblemInstance, ResourceLimitError, check_conditions, oracle_solve
 from abmonoids.oracle import _sum_condition_holds
 
-from conftest import instance_corpus
+from conftest import instance_corpus, reference_sum_condition, saturated_members
 
 WORKED = ProblemInstance(a=(1, 2), b=(4, 1), x={5}, g=6, r=0)
 
@@ -92,6 +92,48 @@ def test_sum_condition_is_complement_closure(cand, r):
     complement = [v for v in range(r + 1, top + 1) if v not in cand]
     closed = all(u + v not in cand for u in complement for v in complement)
     assert holds == closed
+
+
+@st.composite
+def sum_condition_sets(draw):
+    """A floor r in 0..5 and a set of values in r+1..60, of up to 40 values:
+    either any such set, or one shaped like ``one_solution``'s answers, the
+    first values above r outside a monoid, maybe with one more value put
+    in, which often breaks the condition."""
+    r = draw(st.integers(0, 5))
+    if draw(st.booleans()):
+        return frozenset(draw(st.sets(st.integers(r + 1, 60), min_size=1, max_size=40))), r
+    gens = draw(st.sets(st.integers(r + 2, 60), min_size=1, max_size=4))
+    members = saturated_members(gens, 60)
+    outside = [v for v in range(r + 1, 61) if v not in members]
+    cand = set(outside[: draw(st.integers(1, 40))])
+    if draw(st.booleans()):
+        cand.add(draw(st.integers(r + 1, 60)))
+    return frozenset(cand), r
+
+
+# each breaks the condition: 2 + 2 = 4, 20 + 21 = 41 past a dense prefix,
+# and 8 + 9 = 17 where every x below 8 lies in the set
+FAILING = [
+    (frozenset({3, 4}), 0),
+    (frozenset(range(1, 20)) | {41}, 0),
+    (frozenset(range(4, 8)) | {17}, 3),
+]
+
+
+@given(sum_condition_sets())
+@settings(max_examples=400, deadline=None)
+def test_sum_condition_matches_the_all_pairs_loop(case):
+    cand, r = case
+    top = max(cand)
+    assert _sum_condition_holds(set(cand), r + 1, top) == reference_sum_condition(set(cand), r + 1, top)
+
+
+@pytest.mark.parametrize("case", FAILING)
+def test_sum_condition_fails_on_both_loops(case):
+    cand, r = case
+    assert not reference_sum_condition(set(cand), r + 1, max(cand))
+    assert not _sum_condition_holds(set(cand), r + 1, max(cand))
 
 
 def test_universe_bound_loses_nothing():
