@@ -143,21 +143,11 @@ def _cmd_feasible(args: argparse.Namespace) -> int:
 
 
 def _cmd_one(args: argparse.Namespace) -> int:
-    try:
-        sol = one_solution(args.instance)
-    except InfeasibleError as err:
-        print(f"infeasible: {err}", file=sys.stderr)
-        return 1
-    return _emit(args, _solution_lines((sol,)))
+    return _emit(args, _solution_lines((one_solution(args.instance),)))
 
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     result = solve(args.instance, max_nodes=args.max_nodes)
-    if result.truncated:
-        raise ResourceLimitError(
-            f"node budget exhausted after {result.node_count} nodes; "
-            "rerun with a larger --max-nodes"
-        )
     code = _emit(args, _solution_lines(result.solutions))
     if not code:
         print(f"# solutions={len(result.solutions)} nodes={result.node_count}", file=sys.stderr)
@@ -187,8 +177,12 @@ _COMMANDS = {
 
 
 def run(args: argparse.Namespace) -> int:
+    """Run the parsed command; each refusal gets its stderr line and exit code here."""
     try:
         return _COMMANDS[args.command](args)
+    except InfeasibleError as err:
+        print(f"infeasible: {err}", file=sys.stderr)
+        return 1
     except (ResourceLimitError, Int64OverflowError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 3

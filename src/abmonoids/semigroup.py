@@ -46,8 +46,7 @@ class NumericalSemigroup(NamedTuple):
         ap = self.apery
         return x >= ap[x % len(ap)]  # x % m >= 0 and ap >= 0, so x < 0 fails
 
-    def __contains__(self, x: int) -> bool:
-        return self.contains(x)
+    __contains__ = contains
 
     @property
     def frobenius(self) -> int:
@@ -120,11 +119,14 @@ def ray(m: int) -> NumericalSemigroup:
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     """Canonical numerical semigroup generated by ``gens``.
 
-    The generators must be a non-empty collection of positive integers
-    with gcd 1 (otherwise the generated monoid has an infinite
+    The generators must be a non-empty collection of positive ``int``
+    values with gcd 1 (otherwise the generated monoid has an infinite
     complement and is represented elsewhere as a scaled semigroup).
     """
-    gen_list = sorted(set(gens))
+    gen_set = set(gens)
+    if not all(isinstance(g, int) for g in gen_set):
+        raise ValueError("generators must be integers")
+    gen_list = sorted(gen_set)
     if not gen_list:
         raise ValueError("at least one generator is required")
     if gen_list[0] < 1:

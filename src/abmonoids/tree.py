@@ -54,7 +54,9 @@ DEFAULT_NODE_BUDGET = 10**6
 
 
 class SolutionSet(NamedTuple):
-    """All solutions, lexicographically sorted, plus enumeration stats."""
+    """All solutions, lexicographically sorted, plus enumeration stats.
+    ``truncated`` is always False, since a run past its node budget raises;
+    the field stays only because the benchmark harness reads it."""
 
     solutions: tuple[tuple[int, ...], ...]
     node_count: int
@@ -147,6 +149,12 @@ def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemi
     return [remove_generator(s, m) for m in ms]
 
 
+def _over_budget(max_nodes: int, depth: int) -> ResourceLimitError:
+    """The refusal of a walk whose vertex max_nodes + 1, at ``depth``, is past the budget."""
+    msg = f"tree enumeration exceeded {max_nodes} nodes at depth {depth}"
+    return ResourceLimitError(msg, node_count=max_nodes + 1, depth=depth)
+
+
 def _check_count(name: str, value) -> None:
     """Refuse a depth or a node budget that is not a non-negative ``int``."""
     if not isinstance(value, int):
@@ -166,7 +174,7 @@ def _walk(
     is asked for, so a caller that keeps it must copy it.  ``pre`` is the
     instance's preimage table, shared with the caller.  A vertex's
     parent is the last one yielded a depth above it.  Raises
-    ResourceLimitError on vertex max_nodes + 1, since a truncated
+    ResourceLimitError on vertex max_nodes + 1, since a partial
     enumeration cannot certify a complete answer.
     """
     _check_count("depth_limit", depth_limit)
@@ -182,8 +190,7 @@ def _walk(
     while True:
         count += 1
         if count > max_nodes:
-            msg = f"tree enumeration exceeded {max_nodes} nodes at depth {depth}"
-            raise ResourceLimitError(msg, node_count=count, depth=depth)
+            raise _over_budget(max_nodes, depth)
         yield gens, above, ap, f, depth
         if depth < depth_limit:
             frames.append([gens, ap, admissible(above, ap, f, pre), 0])
@@ -200,13 +207,11 @@ def _walk(
                 continue
             frame[3] = i + 1
             f = ms[i]
+            above = generators_after(gens, ap, f)
+            gens = gens[:gens.index(f)] + above
             if f == n1:  # only {0, n1, ->} can lose its multiplicity
-                spine = ray(f + 1)
-                gens, ap = spine.min_generators, list(spine.apery)
-                above = gens
+                ap = list(ray(f + 1).apery)
             else:
-                above = generators_after(gens, ap, f)
-                gens = gens[:gens.index(f)] + above
                 ap[f % n1] = f + n1
             depth = len(frames)
             break
@@ -239,43 +244,41 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     that one, listed from S's table, completes the solution
     ``path + (m, v)``.  For g = 1 the leaves hang off the root.  Unbuilt
     vertices still count against the budget in preorder, checked after
-    each depth-(g - 1) vertex and before its solutions are built.  On
-    hitting the node budget no partial answer is kept: the result has an
-    empty solution list, the truncated flag set and ``max_nodes + 1``
-    nodes, the vertex the budget tripped on.
+    each depth-(g - 1) vertex and before its solutions are built.  Vertex
+    max_nodes + 1 raises the same ResourceLimitError as in ``_walk``.
     """
-    _check_count("max_nodes", max_nodes)  # _walk's own check would see max_nodes + 1
-    refused = SolutionSet((), max_nodes + 1, True)
+    _check_count("max_nodes", max_nodes)
     if not inst.g:  # the root is the one depth-0 vertex, with no gaps above r
-        return SolutionSet(((),), 1, False) if max_nodes >= 1 else refused
+        if not max_nodes:
+            raise _over_budget(max_nodes, 0)
+        return SolutionSet(((),), 1, False)
     sols = []
     path: list[int] = []
     node_count = 0
     last = max(inst.g - 2, 0)
-    # _walk counts only the vertices it yields, never more than
-    # node_count, so its budget of max_nodes + 1 cannot trip first
     pre = Preimages(inst)
-    for gens, above, ap, f, depth in _walk(inst, pre, last, max_nodes=max_nodes + 1):
+    for gens, above, ap, f, depth in _walk(inst, pre, last, max_nodes=max_nodes):
         if depth:
             path[depth - 1:] = [f]
         node_count += 1
         if node_count > max_nodes:
-            return refused
+            raise _over_budget(max_nodes, depth)
         if depth < last:
             continue
         ms = admissible(above, ap, f, pre)
         if inst.g == 1:
             node_count += len(ms)
             if node_count > max_nodes:
-                return refused
+                raise _over_budget(max_nodes, 1)
             sols += [(m,) for m in ms]
             continue
         prefix = tuple(path)
         for m in ms:
             vs = admissible(generators_after(gens, ap, m), ap, m, pre)
             node_count += 1 + len(vs)
-            if node_count > max_nodes:
-                return refused
+            if node_count > max_nodes:  # past the budget at m itself, or at one of its leaves
+                depth = inst.g - 1 if node_count - len(vs) > max_nodes else inst.g
+                raise _over_budget(max_nodes, depth)
             head = prefix + (m,)
             sols += [head + (v,) for v in vs]
     return SolutionSet(tuple(sols), node_count, False)

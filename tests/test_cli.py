@@ -209,18 +209,15 @@ class TestSolveCommand:
         code, out, err = invoke(["solve", *WORKED, "--max-nodes", "3"], capsys)
         assert code == 3
         assert out == ""
-        assert err == "error: node budget exhausted after 4 nodes; rerun with a larger --max-nodes\n"
+        assert err == "error: tree enumeration exceeded 3 nodes at depth 3\n"
 
-    @pytest.mark.parametrize("budget", [6, 15])
-    def test_node_budget_past_the_leaves(self, budget, capsys):
+    @pytest.mark.parametrize("budget, depth", [(6, 6), (15, 2)], ids=["6", "15"])
+    def test_node_budget_past_the_leaves(self, budget, depth, capsys):
         # in preorder, vertex 7 of WORKED's tree is a depth-6 leaf, counted
         # but not built, and vertex 16 the last vertex, after every leaf
         code, out, err = invoke(["solve", *WORKED, "--max-nodes", str(budget)], capsys)
         assert (code, out) == (3, "")
-        assert err == (
-            f"error: node budget exhausted after {budget + 1} nodes; "
-            "rerun with a larger --max-nodes\n"
-        )
+        assert err == f"error: tree enumeration exceeded {budget} nodes at depth {depth}\n"
 
     def test_oracle_scale_limit_is_exit_3(self, capsys):
         code, out, err = invoke(["oracle-solve", "--X", "8", "--g", "7", "--r", "3"], capsys)

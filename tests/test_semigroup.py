@@ -81,6 +81,12 @@ class TestFromGenerators:
         with pytest.raises(ValueError, match="gcd of generators is 2, expected 1"):
             from_generators({4, 6})
 
+    @pytest.mark.parametrize("gens", [{2.0, 3}, ["3"]])
+    def test_non_integer_rejected(self, gens):
+        # refused before the gcd or the sort could raise a TypeError
+        with pytest.raises(ValueError, match="^generators must be integers$"):
+            from_generators(gens)
+
     def test_table_budget(self):
         # the Apery table has one entry per residue of the multiplicity
         msg = "would exceed 1048576 entries for multiplicity 1048577"
@@ -136,6 +142,9 @@ class TestImmutableValue:
         assert s.frobenius == 7
         assert 7 not in s
         assert 8 in s
+        # ``in`` is ``contains`` itself, one call, not a wrapper around it
+        assert NumericalSemigroup.__contains__ is NumericalSemigroup.contains
+        assert [x for x in range(-3, 12) if x in s] == [0, 3, 5, 6, 8, 9, 10, 11]
 
     def test_equality_and_hash_on_min_generators_alone(self):
         # equality and hash are the tuple's, field by field; every value the

@@ -88,6 +88,31 @@ SCALED_FLOOR_LEVELS = [
 ]
 
 
+def preorder_depths(inst, depth_limit):
+    """The depth of each vertex of the tree down to depth_limit, in preorder,
+    from the one-vertex rule ``children``."""
+    def walk(s, depth):
+        yield depth
+        if depth < depth_limit:
+            for child in children(s, inst):
+                yield from walk(child, depth + 1)
+
+    return list(walk(ray(inst.r + 1), 0))
+
+
+def refusal(run, inst, k):
+    """The message, node count and depth of the budget-k refusal of ``run``."""
+    with pytest.raises(ResourceLimitError) as exc:
+        run(inst, max_nodes=k)
+    return str(exc.value), exc.value.node_count, exc.value.depth
+
+
+def assert_refused(inst, k, depth):
+    """``solve`` refuses budget k on vertex k + 1, at ``depth``."""
+    msg = f"tree enumeration exceeded {k} nodes at depth {depth}"
+    assert refusal(solve, inst, k) == (msg, k + 1, depth), (inst, k)
+
+
 def level_keys(levels):
     return [{s.min_generators for s in level} for level in levels]
 
@@ -189,12 +214,7 @@ class TestEnumerate:
     def test_node_budget(self):
         # WORKED has 18 vertices: every smaller budget trips on the vertex
         # just past it, at that vertex's depth, and a budget of 18 answers
-        def preorder_depths(s, depth):
-            yield depth
-            for child in children(s, WORKED):
-                yield from preorder_depths(child, depth + 1)
-
-        depths = list(preorder_depths(ray(1), 0))
+        depths = preorder_depths(WORKED, 20)
         assert len(depths) == 18
         for k in range(18):
             with pytest.raises(ResourceLimitError, match=f"exceeded {k} nodes at depth") as exc:
@@ -276,34 +296,35 @@ class TestSolve:
         # the tree down to depth 6 has 16 vertices, the 7 at depths 5 and 6
         # counted but not built; every smaller budget trips on the vertex
         # just past it, a depth-6 leaf for k = 6, 7 and 9
+        depths = preorder_depths(WORKED, 6)
+        assert depths == [0, 1, 2, 3, 4, 5, 6, 6, 5, 6, 5, 4, 5, 4, 3, 2]
         for k in range(16):
-            result = solve(WORKED, max_nodes=k)
-            assert result.truncated, k
-            assert result.node_count == k + 1
-            assert result.solutions == ()
-        assert not solve(WORKED, max_nodes=16).truncated
+            assert_refused(WORKED, k, depths[k])
+        assert solve(WORKED, max_nodes=16) == solve(WORKED)
 
     def test_budget_at_depth_zero_and_one(self):
         # g = 0: the root is the only vertex and the only solution
         inst = WORKED._replace(g=0)
         assert solve(inst, max_nodes=1) == SolutionSet(((),), 1, False)
-        assert solve(inst, max_nodes=0) == SolutionSet((), 1, True)
+        assert_refused(inst, 0, 0)
         # g = 1: the leaves hang off the root, WORKED has one
         inst = WORKED._replace(g=1)
         assert solve(inst, max_nodes=2) == SolutionSet(((1,),), 2, False)
-        assert solve(inst, max_nodes=1) == SolutionSet((), 2, True)
-        assert solve(inst, max_nodes=0) == SolutionSet((), 1, True)
+        assert_refused(inst, 1, 1)
+        assert_refused(inst, 0, 0)
         free = ProblemInstance(g=1, r=2)  # root <3,4,5>, leaves <4,5,6,7>, <3,5,7>, <3,4>
         assert solve(free) == SolutionSet(((3,), (4,), (5,)), 4, False)
         for k in range(4):
-            assert solve(free, max_nodes=k) == SolutionSet((), k + 1, True)
+            assert_refused(free, k, min(k, 1))
         # g = 2: depths 1 and 2 are both read off the root
         worked = SolutionSet(((1, 2), (1, 3)), 4, False)  # <1>, <2,3>, <3,4,5>, <2,5>
         free = SolutionSet(((3, 4), (3, 5), (3, 6), (3, 7), (4, 5), (4, 7)), 10, False)
         for inst, want in [(WORKED._replace(g=2), worked), (ProblemInstance(g=2, r=2), free)]:
             assert solve(inst) == want
+            depths = preorder_depths(inst, 2)
+            assert len(depths) == want.node_count
             for k in range(want.node_count):
-                assert solve(inst, max_nodes=k) == SolutionSet((), k + 1, True), (inst, k)
+                assert_refused(inst, k, depths[k])
 
     def test_free_tree_counts_are_a007323(self):
         # numerical semigroups of genus 0..15 (OEIS A007323); the tree down
@@ -458,18 +479,25 @@ def test_solutions_read_off_the_path_are_the_gaps_above_r():
 def test_solve_matches_the_deepest_level_of_the_walk():
     # solve counts the depth-g vertices without building them; the walk
     # behind enumerate_levels builds them, and they must agree on the
-    # solutions, the node count and the vertex a budget trips on
+    # solutions, the node count and, for every budget below the tree
+    # size, the refusal: its message, node count and depth
+    def levels(inst, max_nodes):
+        return enumerate_levels(inst, inst.g, max_nodes=max_nodes)
+
     rng = random.Random(3)
     for _ in range(150):
         inst = random_instance(rng)
-        levels = enumerate_levels(inst, inst.g)
-        leaves = levels[inst.g] if len(levels) > inst.g else []
-        total = sum(map(len, levels))
+        tree = enumerate_levels(inst, inst.g)
+        leaves = tree[inst.g] if len(tree) > inst.g else []
+        total = sum(map(len, tree))
         want = SolutionSet(tuple(gaps_above(s, inst.r) for s in leaves), total, False)
         assert solve(inst) == want, inst
-        for k in range(41):
-            refused = SolutionSet((), k + 1, True)
-            assert solve(inst, max_nodes=k) == (refused if k < total else want), (inst, k)
+        for k in range(max(total, 41)):
+            if k < total:
+                got = refusal(solve, inst, k)
+                assert got == refusal(levels, inst, k) and got[1] == k + 1, (inst, k)
+            else:
+                assert solve(inst, max_nodes=k) == want, (inst, k)
 
 
 def test_deep_refusal_holds_one_frame_per_depth():
@@ -478,11 +506,11 @@ def test_deep_refusal_holds_one_frame_per_depth():
     # siblings of every vertex on the path
     tracemalloc.start()
     try:
-        result = solve(ProblemInstance(g=2000), max_nodes=1000)
+        got = refusal(solve, ProblemInstance(g=2000), 1000)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert result == SolutionSet((), 1001, True)
+    assert got == ("tree enumeration exceeded 1000 nodes at depth 1000", 1001, 1000)
     assert peak < 100 * 2**20
 
 
