@@ -118,11 +118,14 @@ def _emit(args: argparse.Namespace, text: str) -> int:
 
 def _solution_lines(sols) -> str:
     """One line per solution, its values ascending and comma-separated."""
-    if len(sols) == 1:  # no value repeats, and `one` may start at any floor
-        return ",".join(map(str, sols[0])) + "\n"
-    # one digit string per value up to the largest, made once for all lines:
-    # `solve` lists values below 2 * (r + g), and its root's table caps r
-    digits = [str(v) for v in range(max((sol[-1] for sol in sols if sol), default=0) + 1)]
+    if len(sols) < 2:  # no value repeats, and `one` may start at any floor
+        return "".join(",".join(map(str, sol)) + "\n" for sol in sols)
+    # one digit string per value from the smallest to the largest, made once
+    # for all lines: the sorted solutions start with the smallest value, and
+    # `solve` lists values below 2 * (r + g), its root's table capping r
+    lo, hi = sols[0][0], max(sol[-1] for sol in sols)
+    digits = [""] * lo
+    digits += map(str, range(lo, hi + 1))
     return "".join(",".join([digits[v] for v in sol]) + "\n" for sol in sols)
 
 

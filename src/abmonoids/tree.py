@@ -27,18 +27,18 @@ and ``export_tree``.  It keeps a single Apéry table and edits it in
 place: removing a generator m other than the multiplicity n1 moves one
 entry, ``ap[m % n1]``, from m to m + n1, and the walk puts m back on the
 way up.  Only the ray {0, n1, ->} can lose n1, and its child
-{0, n1+1, ->} starts a fresh table.  The walk holds one frame per depth
-(a vertex's generators, the admissible ones and a cursor), builds a
-child's generators only on entering it, and yields bare
-``(generators, above, table, frobenius, depth)``, ``above`` being the
+{0, n1+1, ->} starts a fresh table.  The walk holds the path of removed
+generators and at most one frame per depth (a vertex's generators, the
+admissible ones and a cursor; none for a vertex without an admissible
+one), builds a child's generators only on entering it, and
+yields bare ``(generators, above, table, path)``, ``above`` being the
 generators above the Frobenius number; callers build a
 ``NumericalSemigroup`` only for the vertices they keep (the Apéry
 update of Bras-Amorós's generator-removal tree, walked with the
-explicit stack of Fromentin and Hivert).  ``solve`` reads the vertices
-at depths g - 1 and g off their depth-(g - 2) ancestor S without
-entering them: S \\ {m} has S's members except m, so ``admissible``
-can test its generators, listed by ``generators_after``, against S's
-own table, and each pair of removals completes a path into a solution.
+explicit stack of Fromentin and Hivert).  A depth-g vertex is S \\ {m}
+for a generator m of its parent S whose removal is admissible, so
+``solve`` walks to depth g - 1 and lists ``path + (m,)`` for each m,
+entering no leaf.
 """
 
 from __future__ import annotations
@@ -69,11 +69,10 @@ class Preimages(dict):
     positive integers ``(m - b_i) // a_i`` with ``a_i`` dividing ``m - b_i``.
 
     Removing m is admissible exactly when no entry is a positive member of
-    the semigroup left, and 0 is a member of every semigroup and never its
-    Frobenius number, so one membership test covers both rules.  Each
-    distinct value is worked out once per table; a table serves one walk.
-    ``free`` records an instance with no maps and no seeds, whose every
-    entry would be empty.
+    the semigroup left, and 0 is a member of every semigroup, so one
+    membership test covers both rules.  Each distinct value is worked out
+    once per table; a table serves one walk.  ``free`` records an instance
+    with no maps and no seeds, whose every entry would be empty.
     """
 
     __slots__ = ("maps", "x", "free")
@@ -93,16 +92,15 @@ class Preimages(dict):
         return out
 
 
-def admissible(above: Sequence[int], ap: Sequence[int], f: int, pre: Preimages) -> list[int]:
+def admissible(above: Sequence[int], ap: Sequence[int], pre: Preimages) -> list[int]:
     """The generators in ``above`` whose removal is admissible, ascending.
 
-    ``above`` holds minimal generators above ``f``, the Frobenius number of
-    the semigroup tested: its members are ``x >= ap[x % len(ap)]`` except
-    ``f``.  Called with a vertex's own fields, f is a gap already and this
-    tests the vertex.  Called with a parent's table (the walk's live list),
-    a generator m it removes as f and ``generators_after(parent, m)``, it
-    tests the child without building it.  A generator is kept when no entry
-    of ``pre`` for it is a member; a free table keeps them all unread.
+    ``above`` holds the minimal generators above the Frobenius number of
+    the semigroup whose Apéry table is ``ap``: its members are the x with
+    ``x >= ap[x % len(ap)]``.  Removing m leaves every member but m, and m
+    is no preimage of itself, so a generator is kept when no entry of
+    ``pre`` for it is a member of this semigroup; a free table keeps them
+    all unread.
     """
     if pre.free:
         return list(above)
@@ -110,43 +108,18 @@ def admissible(above: Sequence[int], ap: Sequence[int], f: int, pre: Preimages) 
     out = []
     for m in above:
         for p in pre[m]:
-            if p >= ap[p % n1] and p != f:  # a seed value, or a positive member preimage
+            if p >= ap[p % n1]:  # a seed value, or a positive member preimage
                 break
         else:
             out.append(m)
     return out
 
 
-def generators_after(gens: tuple[int, ...], ap, m: int) -> tuple[int, ...]:
-    """The minimal generators above ``m`` of S minus ``m``, ascending, where S
-    is the semigroup with minimal generators ``gens`` and Apéry table ``ap``
-    and m is one of its generators above its Frobenius number.
-
-    They are read off S without building the smaller semigroup: its
-    members are those of S except m, so they are the generators of S above
-    m, plus ``m + multiplicity`` unless some smaller generator ``n_j`` has
-    ``m + multiplicity - n_j`` in S.  Removing the multiplicity only
-    happens when S is ``{0, m, m+1, ...}``, which leaves the ray generated
-    by m+1..2m+1.
-    """
-    n1 = gens[0]
-    if m == n1:
-        return tuple(range(m + 1, 2 * m + 2))
-    i = gens.index(m)
-    for g in gens[1:i]:
-        c = m + n1 - g
-        if c >= ap[c % n1]:
-            return gens[i + 1:]
-    # appending keeps the order: each generator g has g - n1 <= frobenius < m
-    return gens[i + 1:] + (m + n1,)
-
-
 def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemigroup]:
     """Admissible single-generator removals, ascending by removed generator."""
     f = s.frobenius
     above = [m for m in s.min_generators if m > f]
-    ms = admissible(above, s.apery, f, Preimages(inst))
-    return [remove_generator(s, m) for m in ms]
+    return [remove_generator(s, m) for m in admissible(above, s.apery, Preimages(inst))]
 
 
 def _over_budget(max_nodes: int, depth: int) -> ResourceLimitError:
@@ -165,35 +138,40 @@ def _check_count(name: str, value) -> None:
 
 def _walk(
     inst: ProblemInstance, pre: Preimages, depth_limit: int, *, max_nodes: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int], int, int]]:
+) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]]:
     """The vertices of the tree down to depth_limit in preorder, as
-    ``(generators, above, apery, frobenius, depth)``, where ``above`` is
-    the tail of the generators above the Frobenius number.
+    ``(generators, above, apery, path)``, where ``above`` is the tail of
+    the generators above the Frobenius number and ``path`` lists the
+    generators removed on the way from the root: the vertex's gaps above
+    r, ascending, so its depth is ``len(path)``.
 
-    ``apery`` is the walk's live table: it is valid until the next vertex
-    is asked for, so a caller that keeps it must copy it.  ``pre`` is the
-    instance's preimage table, shared with the caller.  A vertex's
-    parent is the last one yielded a depth above it.  Raises
-    ResourceLimitError on vertex max_nodes + 1, since a partial
+    ``apery`` and ``path`` are the walk's live lists: they are valid until
+    the next vertex is asked for, so a caller that keeps one must copy it.
+    ``pre`` is the instance's preimage table, shared with the caller.
+    Raises ResourceLimitError on vertex max_nodes + 1, since a partial
     enumeration cannot certify a complete answer.
     """
     _check_count("depth_limit", depth_limit)
     _check_count("max_nodes", max_nodes)
     # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
     root = ray(inst.r + 1)
-    gens, ap, f = root.min_generators, list(root.apery), root.frobenius
+    gens, ap = root.min_generators, list(root.apery)
     above = gens
-    # one frame per vertex above the current one: its generators, its table,
-    # its admissible generators and the index of the next one to remove
+    path: list[int] = []
+    # one frame per vertex on the path with an admissible generator: its
+    # generators, its table, those generators and the index of the next one
     frames: list[list] = []
-    count = depth = 0
+    count = 0
     while True:
         count += 1
         if count > max_nodes:
-            raise _over_budget(max_nodes, depth)
-        yield gens, above, ap, f, depth
-        if depth < depth_limit:
-            frames.append([gens, ap, admissible(above, ap, f, pre), 0])
+            raise _over_budget(max_nodes, len(path))
+        yield gens, above, ap, path
+        if len(path) < depth_limit:
+            ms = admissible(above, ap, pre)
+            if ms:
+                frames.append([gens, ap, ms, 0])
+                path.append(0)
         while frames:  # undo the last removal below the top frame, then take the next
             frame = frames[-1]
             gens, ap, ms, i = frame
@@ -204,16 +182,28 @@ def _walk(
                     ap[m % n1] = m
             if i == len(ms):
                 frames.pop()
+                path.pop()
                 continue
             frame[3] = i + 1
-            f = ms[i]
-            above = generators_after(gens, ap, f)
-            gens = gens[:gens.index(f)] + above
-            if f == n1:  # only {0, n1, ->} can lose its multiplicity
-                ap = list(ray(f + 1).apery)
+            m = path[-1] = ms[i]
+            if m == n1:  # only {0, n1, ->} can lose its multiplicity, leaving {0, m+1, ->}
+                child = ray(m + 1)
+                above = gens = child.min_generators
+                ap = list(child.apery)
+                break
+            # S \ {m} keeps S's generators above m and gains m + n1 unless some
+            # smaller generator n_j has m + n1 - n_j in S; appending keeps the
+            # order, since each generator n_j has n_j - n1 <= frobenius < m
+            j = gens.index(m)
+            above = gens[j + 1:]
+            c = m + n1
+            for g in gens[1:j]:
+                if c - g >= ap[(c - g) % n1]:
+                    break
             else:
-                ap[f % n1] = f + n1
-            depth = len(frames)
+                above += (c,)
+            gens = gens[:j] + above
+            ap[m % n1] = c
             break
         else:
             return
@@ -227,25 +217,22 @@ def enumerate_levels(
     Ends early at the last non-empty depth when the tree is exhausted.
     """
     levels: list[list[NumericalSemigroup]] = []
-    for gens, _, ap, _, depth in _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes):
-        if depth == len(levels):  # preorder reaches depth k after depth k - 1
+    for gens, _, ap, path in _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes):
+        if len(path) == len(levels):  # preorder reaches depth k after depth k - 1
             levels.append([])
-        levels[depth].append(NumericalSemigroup(gens, tuple(ap)))
+        levels[len(path)].append(NumericalSemigroup(gens, tuple(ap)))
     return levels
 
 
 def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> SolutionSet:
     """All solutions of the instance, read off the paths to the depth-g vertices:
-    the Frobenius numbers at depths 1..g of a path are its leaf's gaps above r.
+    the generators removed on a path are its leaf's gaps above r.
 
-    The vertices at depths g - 1 and g are read off their depth-(g - 2)
-    ancestor S and never built: each admissible generator m of S is a
-    depth-(g - 1) vertex S \\ {m}, and each admissible generator v of
-    that one, listed from S's table, completes the solution
-    ``path + (m, v)``.  For g = 1 the leaves hang off the root.  Unbuilt
-    vertices still count against the budget in preorder, checked after
-    each depth-(g - 1) vertex and before its solutions are built.  Vertex
-    max_nodes + 1 raises the same ResourceLimitError as in ``_walk``.
+    The walk stops at depth g - 1, and each admissible generator v of a
+    vertex there is a leaf, listed as ``path + (v,)`` and never built.
+    The leaves still count against the budget in preorder, right after
+    their parent and before they are listed; vertex max_nodes + 1 raises
+    the same ResourceLimitError as in ``_walk``.
     """
     _check_count("max_nodes", max_nodes)
     if not inst.g:  # the root is the one depth-0 vertex, with no gaps above r
@@ -253,34 +240,21 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
             raise _over_budget(max_nodes, 0)
         return SolutionSet(((),), 1, False)
     sols = []
-    path: list[int] = []
     node_count = 0
-    last = max(inst.g - 2, 0)
+    last = inst.g - 1
     pre = Preimages(inst)
-    for gens, above, ap, f, depth in _walk(inst, pre, last, max_nodes=max_nodes):
-        if depth:
-            path[depth - 1:] = [f]
+    for _, above, ap, path in _walk(inst, pre, last, max_nodes=max_nodes):
         node_count += 1
         if node_count > max_nodes:
-            raise _over_budget(max_nodes, depth)
-        if depth < last:
+            raise _over_budget(max_nodes, len(path))
+        if len(path) < last:
             continue
-        ms = admissible(above, ap, f, pre)
-        if inst.g == 1:
-            node_count += len(ms)
-            if node_count > max_nodes:
-                raise _over_budget(max_nodes, 1)
-            sols += [(m,) for m in ms]
-            continue
+        vs = admissible(above, ap, pre)
+        node_count += len(vs)
+        if node_count > max_nodes:
+            raise _over_budget(max_nodes, inst.g)
         prefix = tuple(path)
-        for m in ms:
-            vs = admissible(generators_after(gens, ap, m), ap, m, pre)
-            node_count += 1 + len(vs)
-            if node_count > max_nodes:  # past the budget at m itself, or at one of its leaves
-                depth = inst.g - 1 if node_count - len(vs) > max_nodes else inst.g
-                raise _over_budget(max_nodes, depth)
-            head = prefix + (m,)
-            sols += [head + (v,) for v in vs]
+        sols += [prefix + (v,) for v in vs]
     return SolutionSet(tuple(sols), node_count, False)
 
 
@@ -293,10 +267,11 @@ def export_tree(
     breadth-first order; edges follow in breadth-first order of the
     child.  The text is byte-stable for identical inputs.
     """
-    path, tails = [], []
-    for gens, _, _, _, depth in _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes):
-        path[depth:] = ['"<' + ",".join(map(str, gens)) + '>"']
-        tails.append((depth, path[-2:]))  # [parent, vertex], or [root] alone
+    labels, tails = [], []
+    for gens, _, _, path in _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes):
+        depth = len(path)
+        labels[depth:] = ['"<' + ",".join(map(str, gens)) + '>"']
+        tails.append((depth, labels[-2:]))  # [parent, vertex], or [root] alone
     # a stable sort, since preorder within one depth is breadth-first order
     tails.sort(key=lambda t: t[0])
     lines = ["digraph variety {"]

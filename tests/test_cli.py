@@ -164,7 +164,7 @@ class TestOneCommand:
         assert err == "error: one solution of 1000000000000 values exceeds the 1000000-value budget\n"
 
 
-def test_solution_lines_build_no_table_for_a_single_solution():
+def test_solution_lines_build_no_table_for_a_single_solution(capsys):
     # `one` can start at any floor, so a digit table from 0 could be huge;
     # this one would hold a million strings, tens of megabytes
     tracemalloc.start()
@@ -177,6 +177,17 @@ def test_solution_lines_build_no_table_for_a_single_solution():
     assert _solution_lines(((2, 3), (2, 5))) == "2,3\n2,5\n"
     assert _solution_lines(((),)) == "\n"
     assert _solution_lines(()) == ""
+    # several solutions share one table of digit strings, made from the
+    # smallest value listed: from 0 it would hold 100,003 strings, 6 MB
+    tracemalloc.start()
+    try:
+        assert _solution_lines(((100001,), (100002,))) == "100001\n100002\n"
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 10**6
+    argv = ["solve", "--g", "1", "--r", "100000", "--a", "1", "--b", "2"]
+    assert invoke(argv, capsys)[:2] == (0, "100001\n100002\n")
 
 
 class TestSolveCommand:

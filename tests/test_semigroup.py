@@ -1,11 +1,10 @@
 import math
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from abmonoids import NumericalSemigroup, ResourceLimitError, from_generators
 from abmonoids.semigroup import MAX_TABLE_SIZE, remove_generator
-from abmonoids.tree import generators_after
 
 from conftest import (
     assert_semigroup_consistent,
@@ -281,19 +280,6 @@ def test_remove_generator_matches_recomputation(gens):
         for v in range(2 * m + 3):
             assert got.contains(v) == (s.contains(v) and v != m)
         assert recomputed_min_generators(got) == got.min_generators
-
-
-@given(gen_sets)
-@example({1})
-@example({4, 5, 6, 7})  # the ray, whose multiplicity is removable
-@settings(max_examples=100, deadline=None)
-def test_generators_after_matches_the_built_semigroup(gens):
-    s = from_generators(gens)
-    for m in s.min_generators:
-        if m > s.frobenius:
-            t = remove_generator(s, m)
-            want = tuple(v for v in t.min_generators if v > m)
-            assert generators_after(s.min_generators, s.apery, m) == want
 
 
 @given(gen_sets, gen_sets)

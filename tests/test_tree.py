@@ -22,7 +22,7 @@ from abmonoids import (
     solve,
 )
 from abmonoids.semigroup import MAX_TABLE_SIZE, ray, remove_generator
-from abmonoids.tree import Preimages, admissible, children, generators_after
+from abmonoids.tree import Preimages, _walk, admissible, children
 
 from conftest import (
     A007323,
@@ -463,6 +463,20 @@ def test_walk_matches_breadth_first_reference():
             assert lines == ["digraph variety {", *nodes, *edges, "}"], inst
 
 
+def test_walk_yields_each_vertex_with_its_table_path_and_generators_above_f():
+    # the walk builds no semigroup value: each vertex it yields must be the
+    # one from_generators builds from its generators, table included, its
+    # path the gaps above r and ``above`` the generators above f, a tail
+    # since the generators ascend
+    for inst in [WORKED, SCALED, SCALED_FLOOR, *instance_corpus(200)]:
+        walk = _walk(inst, Preimages(inst), inst.g + 2, max_nodes=10**6)
+        for gens, above, ap, path in walk:
+            s = from_generators(gens)
+            assert s == (gens, tuple(ap)), (inst, gens)
+            assert tuple(path) == gaps_above(s, inst.r), (inst, gens)
+            assert above == tuple(m for m in gens if m > s.frobenius), (inst, gens)
+
+
 def test_solutions_read_off_the_path_are_the_gaps_above_r():
     # the tree does not depend on g, so one reference walk to depth g + 2
     # checks solve at every size up to g + 2, node counts included
@@ -575,19 +589,20 @@ def test_preimage_table_entries():
         assert sorted(table) == list(range(1, 3 * (inst.r + inst.g) + 2))
 
 
-def test_look_ahead_matches_the_built_child():
-    # admissible() tests a child from its parent's table, with the removed
-    # generator as the Frobenius number; it must agree with the built
-    # child's own test, each drawing on its own preimage table
+def test_shared_table_matches_a_fresh_one_on_each_built_child():
+    # admissible() tests a vertex against its own table, drawing on a
+    # preimage table the walk shares across the run; on every child built
+    # by remove_generator, admissible or not, it must agree with a fresh
+    # table and with the divide-and-modulo rule
     for inst in instance_corpus(200):
         table = Preimages(inst)  # one per instance, filled as the walk would
         for level in bfs_levels(inst, inst.g + 2):
             for _, s in level:
-                for t in children(s, inst):
-                    m = t.frobenius
-                    want = admissible(above_frobenius(t), t.apery, m, Preimages(inst))
-                    after = generators_after(s.min_generators, s.apery, m)
-                    assert admissible(after, s.apery, m, table) == want, (inst, s, m)
+                for m in above_frobenius(s):
+                    t = remove_generator(s, m)
+                    want = admissible(above_frobenius(t), t.apery, Preimages(inst))
+                    assert want == reference_admissible(t, inst), (inst, s, m)
+                    assert admissible(above_frobenius(t), t.apery, table) == want, (inst, s, m)
 
 
 class TestPruningEdgeCases:
@@ -596,55 +611,53 @@ class TestPruningEdgeCases:
         # member, so any generator with a positive preimage is pruned
         inst = ProblemInstance(a=(1,), b=(1,), g=1)
         table = Preimages(inst)
-        assert admissible((1,), [0], -1, table) == [1]
-        assert admissible((2, 5, 6), [0], -1, table) == []
+        assert admissible((1,), [0], table) == [1]
+        assert admissible((2, 5, 6), [0], table) == []
         assert solve(inst) == SolutionSet(((1,),), 2, False)
         seeded = inst._replace(x={1})
-        assert admissible((1,), [0], -1, Preimages(seeded)) == []
+        assert admissible((1,), [0], Preimages(seeded)) == []
         assert solve(seeded) == SolutionSet((), 1, False)
 
     def test_seed_value_is_the_new_generator(self):
         # removing 4 from <3,4,5> adds the generator 4 + 3 = 7, a seed value
         # whose one preimage (7 - 3) / 2 = 2 is a gap
         inst = ProblemInstance(a=(2,), b=(3,), x={7}, g=3)
-        s = from_generators((3, 4, 5))
-        after = generators_after(s.min_generators, s.apery, 4)
-        assert after == (5, 7)
+        t = remove_generator(from_generators((3, 4, 5)), 4)
+        assert above_frobenius(t) == [5, 7]
         table = Preimages(inst)
         assert (table[7], table[5]) == ((0,), (1,))
-        assert admissible(after, s.apery, 4, table) == [5]
-        assert [c.frobenius for c in children(remove_generator(s, 4), inst)] == [5]
+        assert admissible(above_frobenius(t), t.apery, table) == [5]
+        assert [c.frobenius for c in children(t, inst)] == [5]
         unseeded = Preimages(inst._replace(x=()))
-        assert admissible(after, s.apery, 4, unseeded) == [5, 7]
+        assert admissible(above_frobenius(t), t.apery, unseeded) == [5, 7]
 
     def test_offset_at_or_above_the_generator_gives_no_preimage(self):
         inst = ProblemInstance(a=(2,), b=(9,))
         table = Preimages(inst)
         assert [table[m] for m in (4, 9, 10, 11)] == [(), (), (), (1,)]
         s = ray(4)
-        assert admissible(s.min_generators, list(s.apery), s.frobenius, table) == [4, 5, 6, 7]
+        assert admissible(s.min_generators, list(s.apery), table) == [4, 5, 6, 7]
 
     def test_constraint_free_table_stores_nothing(self):
         # no maps and no seeds: every generator above f is kept unread
         table = Preimages(ProblemInstance(g=3))
         s = ray(4)
-        assert admissible(s.min_generators, list(s.apery), s.frobenius, table) == [4, 5, 6, 7]
+        assert admissible(s.min_generators, list(s.apery), table) == [4, 5, 6, 7]
         assert table == {}
         assert not Preimages(ProblemInstance(x={9})).free
         assert not Preimages(ProblemInstance(a=(2,), b=(9,))).free
 
     def test_preimage_equal_to_the_removed_generator(self):
         # removing 3 from <2,3> leaves <2,5>; 5's preimage 5 - 2 = 3 is a
-        # member of the parent's table but the child's Frobenius number
+        # member of the parent but the child's Frobenius number, a gap of
+        # the child's own table
         inst = ProblemInstance(a=(1,), b=(2,))
         s = from_generators((2, 3))
-        table = Preimages(inst)
-        after = generators_after(s.min_generators, s.apery, 3)
-        assert (after, table[5]) == ((5,), (3,))
-        assert s.contains(3)
-        assert admissible(after, s.apery, 3, table) == [5]
         t = remove_generator(s, 3)
-        assert admissible(above_frobenius(t), t.apery, 3, table) == [5]
+        table = Preimages(inst)
+        assert (above_frobenius(t), table[5]) == ([5], (3,))
+        assert s.contains(3) and not t.contains(3)
+        assert admissible(above_frobenius(t), t.apery, table) == [5]
 
 
 def test_no_table_is_shared_across_instances_or_calls():
@@ -684,11 +697,11 @@ def test_tree_expansion_goes_through_the_module_names(monkeypatch):
 
         monkeypatch.setattr(tree_module, name, counted)
     inst = ProblemInstance(g=8)
-    # 156 vertices down to genus 8; solve walks to depth 6 and reads the
-    # vertices at depths 7 and 8 off depth 6, so it meets the spine at
-    # depths 0..6, the other two at depths 0..8
+    # 156 vertices down to genus 8; solve walks to depth 7 and lists the
+    # leaves at depth 8 without entering them, so it meets the spine at
+    # depths 0..7, the other two at depths 0..8
     assert solve(inst).node_count == 156
-    assert calls == {"ray": 7}
+    assert calls == {"ray": 8}
     calls.clear()
     assert sum(map(len, enumerate_levels(inst, 8))) == 156
     assert calls == {"ray": 9}
