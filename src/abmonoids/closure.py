@@ -209,7 +209,12 @@ def feasible(inst: ProblemInstance) -> Feasibility:
 def one_solution(inst: ProblemInstance) -> tuple[int, ...]:
     """A single solution: the g smallest integers >= r + 1 outside the closure.
 
-    A feasible ``g`` above ``DEFAULT_MAX_GENERATORS`` raises ResourceLimitError.
+    Feasibility is the gap count above r, read off the closure's Apéry table
+    by Selmer's formula (see ``NumericalSemigroup.gap_count_above``).  Each
+    candidate v is then tested against the table inline: v is outside d * S
+    when d does not divide v or v // d lies below its residue's Apéry
+    element.  A feasible ``g`` above ``DEFAULT_MAX_GENERATORS`` raises
+    ResourceLimitError.
     """
     monoid = instance_closure(inst)
     count = _gap_count_above(monoid, inst.r)
@@ -221,8 +226,13 @@ def one_solution(inst: ProblemInstance) -> tuple[int, ...]:
         raise ResourceLimitError(
             f"one solution of {inst.g} values exceeds the {DEFAULT_MAX_GENERATORS}-value budget"
         )
-    outside = (v for v in itertools.count(inst.r + 1) if monoid is None or not monoid.contains(v))
-    solution = tuple(itertools.islice(outside, inst.g))
+    if monoid is None:
+        solution = tuple(range(inst.r + 1, inst.r + 1 + inst.g))
+    else:
+        d, ap = monoid.d, monoid.base.apery
+        m = len(ap)
+        outside = (v for v in itertools.count(inst.r + 1) if v % d or v // d < ap[v // d % m])
+        solution = tuple(itertools.islice(outside, inst.g))
     if __debug__:
         from .oracle import check_conditions
 

@@ -12,9 +12,11 @@ integers (its *gaps*).  A value is a named tuple of two fields:
 
 The Frobenius number (the largest gap, ``max(apery) - m``, or -1 when
 there is none), the genus (the number of gaps) and the gap list are read
-off the Apéry set on request.  Values compare and hash as tuples, field
-by field; the Apéry set of every value the package builds follows from
-the minimal generators, so two such values are equal exactly when their
+off the Apéry set on request: the genus in one sum by Selmer's formula
+(Selmer 1977), and the count of gaps above a floor r with one more step
+for each residue up to r.  Values compare and hash as tuples, field by
+field; the Apéry set of every value the package builds follows from the
+minimal generators, so two such values are equal exactly when their
 minimal generating sets are.  ``x in s`` is semigroup membership, not a
 search of the fields, and the fields cannot be reassigned.
 
@@ -55,8 +57,12 @@ class NumericalSemigroup(NamedTuple):
 
     @property
     def genus(self) -> int:
-        """The number of gaps."""
-        return self.gap_count_above(0)
+        """The number of gaps, by Selmer's formula (sum(apery) - m(m - 1)/2) / m:
+        residue i holds the (apery[i] - i) / m gaps i, i + m, ..., apery[i] - m
+        (E. S. Selmer, J. reine angew. Math. 293/294, 1977)."""
+        ap = self.apery
+        m = len(ap)
+        return (sum(ap) - m * (m - 1) // 2) // m
 
     @property
     def gaps(self) -> tuple[int, ...]:
@@ -65,10 +71,13 @@ class NumericalSemigroup(NamedTuple):
         return tuple(sorted(v for i, w in enumerate(self.apery) for v in range(i, w, m)))
 
     def gap_count_above(self, r: int) -> int:
-        """Number of gaps >= r + 1, without listing the gaps i, i + m, ...,
-        apery[i] - m of each residue i; the first >= r + 1 is r + 1 + (i - r - 1) % m."""
+        """Number of gaps >= r + 1: the genus minus the gaps up to r.  Those lie
+        in the residues i <= r, and residue i holds (min(apery[i], r + m) - i) // m
+        of them, so the count costs Selmer's sum (see ``genus``) and min(r + 1, m)
+        residues; a negative r counts every gap."""
         m = len(self.apery)
-        return sum(max(0, (w - r - 1 - (i - r - 1) % m) // m) for i, w in enumerate(self.apery))
+        low = sum((min(w, r + m) - i) // m for i, w in enumerate(self.apery[:max(r + 1, 0)]))
+        return self.genus - low
 
     def __repr__(self):
         return "<" + ",".join(map(str, self.min_generators)) + ">"

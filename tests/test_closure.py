@@ -4,7 +4,7 @@ import re
 import time
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from abmonoids import (
     Feasibility,
@@ -328,17 +328,38 @@ def test_worklist_provenance_chain(inst):
         assert n in xs or n in images, (inst, n)
 
 
+def values_outside_closure(inst: ProblemInstance) -> list[int]:
+    """The integers >= r + 1 outside the closure of the seed, ascending, from
+    the closure's generators by saturation, on a window that holds every one
+    when d == 1 and at least g of them otherwise: by Schur's bound, n1 < ... <
+    nk with gcd 1 generate every integer above (n1 - 1)(nk - 1) - 1.  The empty
+    seed closes to {0}, outside which lie its g smallest candidates."""
+    rep = instance_closure(inst)
+    if rep is None:
+        return list(range(inst.r + 1, inst.r + 1 + inst.g))
+    gens = rep.base.min_generators
+    top = gens[0] * gens[-1] + inst.r + inst.g
+    members = saturated_members(gens, top)
+    return [v for v in range(inst.r + 1, rep.d * top + 1) if v % rep.d or v // rep.d not in members]
+
+
 @given(small_instances())
-@settings(max_examples=120, deadline=None)
+@example(ProblemInstance(a=(1,), b=(4,), g=5, r=2))  # empty seed
+@example(ProblemInstance(a=(2, 3), b=(4, 2), x={6, 8}, g=9, r=3))  # d == 2
+@settings(max_examples=150, deadline=None)
 def test_one_solution_agrees_with_feasibility(inst):
-    res = feasible(inst)
+    # the answer is exactly the g smallest values >= r + 1 outside the
+    # closure, not merely some solution, and the gap count is their number
+    outside = values_outside_closure(inst)
+    rep, res = instance_closure(inst), feasible(inst)
+    if rep is not None and rep.d == 1:
+        assert res.gap_count == len(outside)
     if res.feasible:
         sol = one_solution(inst)
-        assert len(sol) == inst.g
-        assert all(v > inst.r for v in sol)
-        assert not (set(sol) & inst.x)
+        assert sol == tuple(outside[:inst.g])
         # one_solution checks this itself only when assertions are on
         assert check_conditions(sol, inst)
     else:
+        assert len(outside) < inst.g
         with pytest.raises(InfeasibleError):
             one_solution(inst)

@@ -1,3 +1,4 @@
+import bisect
 import math
 
 import pytest
@@ -234,7 +235,22 @@ class TestGapsWithin:
         s = from_generators({3, 4})
         assert [s.gap_count_above(r) for r in range(7)] == [3, 2, 1, 1, 1, 0, 0]
         assert s.gap_count_above(10**9) == 0
+        assert s.gap_count_above(-1) == s.gap_count_above(-5) == 3
         assert from_generators({1}).gap_count_above(0) == 0
+
+    @pytest.mark.parametrize(
+        "p, q", [(2, 3), (5, 7), (99, 100), (1004, 1005), (9973, 9976), (10007, 10009)]
+    )
+    def test_two_generators_match_sylvester(self, p, q):
+        # Sylvester: coprime p < q give Frobenius number pq - p - q and
+        # (p - 1)(q - 1) / 2 gaps; the gaps up to q are 1..p-1 and p+1..q-1
+        s = from_generators({p, q})
+        assert s.frobenius == p * q - p - q
+        assert s.genus == (p - 1) * (q - 1) // 2
+        assert s.gap_count_above(p) == s.genus - (p - 1)
+        assert s.gap_count_above(q) == s.genus - (q - 2)
+        assert s.gap_count_above(s.frobenius - 1) == 1
+        assert s.gap_count_above(s.frobenius) == 0
 
 
 @given(gen_sets)
@@ -264,6 +280,20 @@ def test_wide_construction_matches_saturation(gens):
     assert s.min_generators == tuple(
         sorted(g for g in gens if g not in saturated_members(gens - {g}, g))
     )
+
+
+@given(gen_sets)
+@settings(max_examples=150, deadline=None)
+def test_gap_count_above_matches_a_brute_force_count_at_every_floor(gens):
+    # floors at and past the multiplicity and past F + 1, where
+    # ``assert_semigroup_consistent`` stops; by Schur's bound every integer
+    # above (n1 - 1)(nk - 1) - 1 is a member, so the window holds every gap
+    top = min(gens) * max(gens)
+    members = saturated_members(gens, top)
+    gaps = [v for v in range(top + 1) if v not in members]
+    s = from_generators(gens)
+    for r in [*range(top + 3), 10**6, 10**18]:
+        assert s.gap_count_above(r) == len(gaps) - bisect.bisect_right(gaps, r), r
 
 
 @given(gen_sets)
