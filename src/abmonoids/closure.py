@@ -9,46 +9,25 @@ check the condition on a generating set: the affine images of a sum
 whenever the generator images are.
 
 ``closure`` computes the smallest (a, b)-monoid containing a finite seed
-set ``x`` by an ascending worklist pass: take the smallest seed value or
-queued image m and, if it is not yet generated, adjoin it and queue its
-images ``a_i * m + b_i``.  Letting ``d = gcd(x + b)``, the result is ``d``
-times the closure of the divided data, and the divided closure is a
-genuine numerical semigroup (its generators reach gcd 1 after the first
-worklist step, so only finitely many elements can ever be missing and the
-pass terminates).  ``SubmonoidRep`` stores exactly this scaled form.
+set ``x``.  Letting ``d = gcd(x + b)``, the result is ``d`` times the
+closure of the divided data, a genuine numerical semigroup, which the
+ascending worklist of ``semigroup._worklist_closure`` builds (its
+minimality and termination proof is there).  ``SubmonoidRep`` stores
+exactly this scaled form.
 
 ``instance_closure`` returns ``None`` for an empty seed, which closes to
 {0}; ``feasible`` and ``one_solution`` read their answers off that object.
-
-The images of each minimal generator are checked against the signed
-64-bit range, raising instead of silently producing huge search spaces;
-a value already generated is never mapped.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from typing import NamedTuple
 
-from .errors import InfeasibleError, Int64OverflowError, ResourceLimitError
-from .semigroup import NumericalSemigroup, add_generator, apery_table
+from .errors import InfeasibleError, ResourceLimitError
+from .semigroup import DEFAULT_MAX_GENERATORS, NumericalSemigroup, _worklist_closure
 from .semigroup import from_generators  # noqa: F401  (the benchmark's tracer wraps this name here)
-
-INT64_MAX = (1 << 63) - 1
-
-# Guard on the worklist and on the length of ``one_solution``; the pass
-# provably terminates but adversarial magnitudes could exhaust memory
-# long before that.
-DEFAULT_MAX_GENERATORS = 10**6
-
-
-def _affine_value(ai: int, m: int, bi: int) -> int:
-    v = ai * m + bi
-    if v > INT64_MAX:
-        raise Int64OverflowError(f"{ai}*{m}+{bi} exceeds the signed 64-bit range")
-    return v
 
 
 class _InstanceFields(NamedTuple):
@@ -111,46 +90,6 @@ class SubmonoidRep(NamedTuple):
     def expanded_generators(self) -> tuple[int, ...]:
         """Minimal generators of the represented monoid itself."""
         return tuple(self.d * g for g in self.base.min_generators)
-
-
-def _worklist_closure(a, b, seed) -> NumericalSemigroup:
-    """Run the worklist pass; gcd(seed + b) must already be 1.
-
-    One Apéry table modulo n1, the smallest seed value and the multiplicity
-    of the closure C, tracks the monoid generated so far.  Candidates leave
-    a min-heap ascending, and one is adjoined only when not yet a member,
-    so the values adjoined are exactly the minimal generators of C:
-
-    * a minimal generator n of C is a seed value or the image of a smaller
-      one, else C \\ {n} would be a smaller (a, b)-monoid holding the seed
-      (the image of a sum s + t splits as a_i*s + (a_i*t + b_i));
-    * values pushed exceed the one popped, so when c is popped every
-      minimal generator below c has been adjoined and the table holds C
-      below c: c is a member exactly when it is not a minimal generator.
-    """
-    seeds = sorted(set(seed))
-    n1 = seeds[0]
-    # The first step's images are taken before the table is sized, so an
-    # out-of-range seed reports overflow rather than the table cap.
-    heap = seeds[1:] + [_affine_value(ai, n1, bi) for ai, bi in zip(a, b)]
-    heapq.heapify(heap)
-    ap = apery_table(n1)  # the table of <n1>: ap[0] == 0
-    gens = [n1]
-    while heap:
-        m = heapq.heappop(heap)
-        if m >= ap[m % n1]:
-            continue
-        add_generator(ap, m)
-        gens.append(m)
-        if len(gens) > DEFAULT_MAX_GENERATORS:
-            raise ResourceLimitError(
-                f"closure generator set exceeded {DEFAULT_MAX_GENERATORS} elements"
-            )
-        for ai, bi in zip(a, b):
-            v = _affine_value(ai, m, bi)
-            if v < ap[v % n1]:
-                heapq.heappush(heap, v)
-    return NumericalSemigroup(tuple(gens), tuple(ap))
 
 
 def closure(a, b, x) -> SubmonoidRep:

@@ -20,23 +20,34 @@ minimal generators, so two such values are equal exactly when their
 minimal generating sets are.  ``x in s`` is semigroup membership, not a
 search of the fields, and the fields cannot be reassigned.
 
-Apéry sets are built one generator at a time by the round-robin pass of
-Böcker and Lipták (2007), see ``add_generator``; the stored semigroup
-never needs a bound on its Frobenius number.  Generators are adjoined
-ascending, and only those not yet members: exactly the minimal ones.
+Every value is built by one ascending worklist, ``_worklist_closure``:
+the smallest (a, b)-monoid holding a seed set, closed under the maps
+m -> a_i * m + b_i; ``from_generators`` is that pass with no maps.  It
+adjoins only candidates not yet members, exactly the minimal generators,
+each by the round-robin pass of Böcker and Lipták (2007), see
+``add_generator``, so the Frobenius number never needs a bound.  Affine
+images are checked against the signed 64-bit range.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 from typing import Iterable, NamedTuple
 
-from .errors import ResourceLimitError
+from .errors import Int64OverflowError, ResourceLimitError
 
 # Hard ceiling on the length of an Apéry table, which is the multiplicity, so
 # construction fails loudly instead of allocating unbounded memory.  At the cap
 # (CPython 3.11, x86-64) from_generators({2**20 - 1, 2**20}) peaks at 79 MB RSS.
 MAX_TABLE_SIZE = 1 << 20
+
+INT64_MAX = (1 << 63) - 1
+
+# Guard on the worklist and on the length of ``one_solution``; the pass
+# provably terminates but adversarial magnitudes could exhaust memory
+# long before that.
+DEFAULT_MAX_GENERATORS = 10**6
 
 
 class NumericalSemigroup(NamedTuple):
@@ -118,6 +129,58 @@ def add_generator(ap: list, g: int) -> None:
                 ap[p] = n
 
 
+def _affine_value(ai: int, m: int, bi: int) -> int:
+    v = ai * m + bi
+    if v > INT64_MAX:
+        raise Int64OverflowError(f"{ai}*{m}+{bi} exceeds the signed 64-bit range")
+    return v
+
+
+def _worklist_closure(a, b, seed) -> NumericalSemigroup:
+    """Smallest (a, b)-monoid C holding the positive ``seed``, which must
+    have gcd(seed + b) == 1 (so C is a numerical semigroup).
+
+    One Apéry table modulo n1, the smallest seed value and the multiplicity
+    of C, tracks the monoid generated so far.  Candidates leave a min-heap
+    ascending, and one is adjoined only when not yet a member, so the values
+    adjoined are exactly the minimal generators of C:
+
+    * a minimal generator n of C is a seed value or the image of a smaller
+      one, else C \\ {n} would be a smaller (a, b)-monoid holding the seed
+      (the image of a sum s + t splits as a_i*s + (a_i*t + b_i));
+    * values pushed exceed the one popped, so when c is popped every
+      minimal generator below c has been adjoined and the table holds C
+      below c: c is a member exactly when it is not a minimal generator.
+
+    The pass ends, as the generators reach gcd 1 after the first step and
+    only non-members are pushed.  More than ``DEFAULT_MAX_GENERATORS``
+    minimal generators raise ResourceLimitError.
+    """
+    n1 = min(seed)
+    # The first step's images are taken before the table is sized, so an
+    # out-of-range seed reports overflow rather than the table cap.  n1 and
+    # repeated values pop as members.
+    heap = [*seed, *(_affine_value(ai, n1, bi) for ai, bi in zip(a, b))]
+    heapq.heapify(heap)
+    ap = apery_table(n1)  # the table of <n1>: ap[0] == 0
+    gens = [n1]
+    while heap:
+        m = heapq.heappop(heap)
+        if m >= ap[m % n1]:
+            continue
+        add_generator(ap, m)
+        gens.append(m)
+        if len(gens) > DEFAULT_MAX_GENERATORS:
+            raise ResourceLimitError(
+                f"closure generator set exceeded {DEFAULT_MAX_GENERATORS} elements"
+            )
+        for ai, bi in zip(a, b):
+            v = _affine_value(ai, m, bi)
+            if v < ap[v % n1]:
+                heapq.heappush(heap, v)
+    return NumericalSemigroup(tuple(gens), tuple(ap))
+
+
 def ray(m: int) -> NumericalSemigroup:
     """{0, m, m+1, ...} in O(m): generators m..2m-1, Apéry set (0, m+1, ..., 2m-1)."""
     ap = apery_table(m)
@@ -130,7 +193,9 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
 
     The generators must be a non-empty collection of positive ``int``
     values with gcd 1 (otherwise the generated monoid has an infinite
-    complement and is represented elsewhere as a scaled semigroup).
+    complement and is represented elsewhere as a scaled semigroup).  It is
+    the worklist with no affine maps, so more than ``DEFAULT_MAX_GENERATORS``
+    minimal generators raise ResourceLimitError.
     """
     gen_set = set(gens)
     if not all(isinstance(g, int) for g in gen_set):
@@ -143,14 +208,7 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     d = math.gcd(*gen_list)
     if d != 1:
         raise ValueError(f"gcd of generators is {d}, expected 1")
-    m = gen_list[0]
-    ap = apery_table(m)
-    min_gens = [m]
-    for g in gen_list[1:]:
-        if g < ap[g % m]:
-            add_generator(ap, g)
-            min_gens.append(g)
-    return NumericalSemigroup(tuple(min_gens), tuple(ap))
+    return _worklist_closure((), (), gen_list)
 
 
 def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:

@@ -114,17 +114,17 @@ class TestClosure:
         assert closure((), (), {5, 6, 4000000}) == SubmonoidRep(1, from_generators({5, 6}))
 
     def test_generator_budget(self, monkeypatch):
-        closure_module = importlib.import_module("abmonoids.closure")
-        monkeypatch.setattr(closure_module, "DEFAULT_MAX_GENERATORS", 1)
+        semigroup_module = importlib.import_module("abmonoids.semigroup")
+        monkeypatch.setattr(semigroup_module, "DEFAULT_MAX_GENERATORS", 1)
         with pytest.raises(ResourceLimitError, match="closure generator set exceeded 1 elements"):
             closure((1,), (1,), {2})
 
     def test_generator_budget_counts_minimal_generators(self, monkeypatch):
         # the seeds 8 and 12 are members of <4,5,6,7>, so they do not count
-        closure_module = importlib.import_module("abmonoids.closure")
-        monkeypatch.setattr(closure_module, "DEFAULT_MAX_GENERATORS", 4)
+        semigroup_module = importlib.import_module("abmonoids.semigroup")
+        monkeypatch.setattr(semigroup_module, "DEFAULT_MAX_GENERATORS", 4)
         assert repr(closure((1,), (1,), {4, 8, 12}).base) == "<4,5,6,7>"
-        monkeypatch.setattr(closure_module, "DEFAULT_MAX_GENERATORS", 3)
+        monkeypatch.setattr(semigroup_module, "DEFAULT_MAX_GENERATORS", 3)
         with pytest.raises(ResourceLimitError, match="closure generator set exceeded 3 elements"):
             closure((1,), (1,), {4, 8, 12})
 

@@ -1,4 +1,5 @@
 import bisect
+import importlib
 import math
 
 import pytest
@@ -92,6 +93,16 @@ class TestFromGenerators:
         msg = "would exceed 1048576 entries for multiplicity 1048577"
         with pytest.raises(ResourceLimitError, match=msg):
             from_generators({MAX_TABLE_SIZE + 1, MAX_TABLE_SIZE + 2})
+
+    def test_generator_budget_counts_minimal_generators(self, monkeypatch):
+        # from_generators is the closure worklist with no maps, so it carries
+        # the same budget; 8 and 12 are members of <4,5,6,7> and do not count
+        semigroup_module = importlib.import_module("abmonoids.semigroup")
+        monkeypatch.setattr(semigroup_module, "DEFAULT_MAX_GENERATORS", 3)
+        with pytest.raises(ResourceLimitError, match="generator set exceeded 3 elements"):
+            from_generators({4, 5, 6, 7})
+        monkeypatch.setattr(semigroup_module, "DEFAULT_MAX_GENERATORS", 4)
+        assert repr(from_generators({4, 5, 6, 7, 8, 12})) == "<4,5,6,7>"
 
     def test_huge_generator_above_small_multiplicity(self):
         s = from_generators({5, 6, 4000000})

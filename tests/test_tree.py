@@ -550,6 +550,37 @@ def test_solve_matches_the_free_tree_reference():
     assert checked > 100
 
 
+def test_a_vertex_is_live_iff_its_leftmost_descent_reaches_depth_g():
+    # a vertex is live when some depth-g vertex lies below it; on the whole
+    # reference tree, it is live exactly when always taking the first child
+    # reaches depth g, and no live child follows a dead sibling
+    extra = [
+        ProblemInstance(g=12),
+        ProblemInstance(a=(1, 3), b=(7, 2), x={24}, g=12),
+        ProblemInstance(a=(1,), b=(5,), x={30}, g=14),
+    ]
+    dead = 0
+    for inst in [*instance_corpus(200), *extra]:
+        levels = bfs_levels(inst, inst.g)
+        kids = {}
+        for level in levels[1:]:
+            for parent, s in level:
+                kids.setdefault(parent, []).append(s)
+        live, reach = {}, {}
+        for depth in reversed(range(len(levels))):
+            for _, s in levels[depth]:
+                below = kids.get(s, [])
+                live[s] = depth == inst.g or any(live[c] for c in below)
+                reach[s] = reach[below[0]] if below else depth
+        for level in levels:
+            for _, s in level:
+                assert live[s] == (reach[s] == inst.g), (inst, s)
+                flags = [live[c] for c in kids.get(s, [])]
+                assert flags == sorted(flags, reverse=True), (inst, s)
+                dead += not live[s]
+    assert dead > 1000
+
+
 def test_children_match_the_defining_conditions():
     # S \ {m} is a vertex exactly when the gaps of S above r plus m solve
     # the problem one size up, checked by brute force instead of the
