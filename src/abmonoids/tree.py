@@ -28,17 +28,18 @@ place: removing a generator m other than the multiplicity n1 moves one
 entry, ``ap[m % n1]``, from m to m + n1, and the walk puts m back on the
 way up.  Only the ray {0, n1, ->} can lose n1, and its child
 {0, n1+1, ->} starts a fresh table.  The walk holds the path of removed
-generators and at most one frame per depth (a vertex's generators, the
-admissible ones and a cursor; none for a vertex without an admissible
-one), builds a child's generators only on entering it, and
-yields bare ``(generators, above, table, path)``, ``above`` being the
-generators above the Frobenius number; callers build a
-``NumericalSemigroup`` only for the vertices they keep (the Apéry
-update of Bras-Amorós's generator-removal tree, walked with the
-explicit stack of Fromentin and Hivert).  A depth-g vertex is S \\ {m}
-for a generator m of its parent S whose removal is admissible, so
-``solve`` walks to depth g - 1 and lists ``path + (m,)`` for each m,
-entering no leaf.
+generators and at most one frame per depth (a vertex's generators, its
+table and an iterator over its admissible generators; none for a vertex
+without one), builds a child's generators with ``_child_above`` only on
+entering it, and yields bare ``(generators, above, table, path)``,
+``above`` being the generators above the Frobenius number; callers build
+a ``NumericalSemigroup`` only for the vertices they keep (the Apéry
+update of Bras-Amorós's generator-removal tree, walked with the explicit
+stack of Fromentin and Hivert).  Most vertices sit in the last two
+levels, so ``solve`` walks only to depth g - 2 and reads those levels off
+each vertex S there: for each admissible generator m of S, the generators
+above m of S \\ {m} and S's table with one entry moved tell which v
+complete the solution ``path + (m, v)``.
 """
 
 from __future__ import annotations
@@ -136,6 +137,23 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be non-negative")
 
 
+def _child_above(gens: tuple[int, ...], ap: Sequence[int], j: int) -> tuple[int, ...]:
+    """The generators above m = gens[j] of S \\ {m}, for S with generators
+    ``gens`` and table ``ap`` and m > n1 = gens[0] above its Frobenius number.
+
+    They are S's generators after m, plus m + n1 unless m + n1 - n is in S
+    for a generator n between n1 and m; that difference is below m, so S's
+    table answers for S \\ {m}, and m + n1 comes last, since every
+    generator n has n - n1 <= frobenius < m.
+    """
+    n1 = gens[0]
+    c = gens[j] + n1
+    for g in gens[1:j]:
+        if c - g >= ap[(c - g) % n1]:
+            return gens[j + 1:]
+    return gens[j + 1:] + (c,)
+
+
 def _walk(
     inst: ProblemInstance, pre: Preimages, depth_limit: int, *, max_nodes: int
 ) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]]:
@@ -158,9 +176,10 @@ def _walk(
     gens, ap = root.min_generators, list(root.apery)
     above = gens
     path: list[int] = []
-    # one frame per vertex on the path with an admissible generator: its
-    # generators, its table, those generators and the index of the next one
-    frames: list[list] = []
+    # (generators, table, iterator over the admissible generators) per vertex
+    # on the path with one; path[-1] names the child below the top frame
+    frames: list[tuple] = []
+    free = pre.free
     count = 0
     while True:
         count += 1
@@ -168,42 +187,31 @@ def _walk(
             raise _over_budget(max_nodes, len(path))
         yield gens, above, ap, path
         if len(path) < depth_limit:
-            ms = admissible(above, ap, pre)
+            ms = above if free else admissible(above, ap, pre)
             if ms:
-                frames.append([gens, ap, ms, 0])
-                path.append(0)
+                frames.append((gens, ap, iter(ms)))
+                path.append(0)  # restoring "child 0" rewrites ap[0] = 0, a no-op
         while frames:  # undo the last removal below the top frame, then take the next
-            frame = frames[-1]
-            gens, ap, ms, i = frame
+            gens, ap, ms = frames[-1]
             n1 = gens[0]
-            if i:
-                m = ms[i - 1]
-                if m != n1:
-                    ap[m % n1] = m
-            if i == len(ms):
+            m = path[-1]
+            if m != n1:
+                ap[m % n1] = m
+            m = next(ms, 0)
+            if not m:
                 frames.pop()
                 path.pop()
                 continue
-            frame[3] = i + 1
-            m = path[-1] = ms[i]
+            path[-1] = m
             if m == n1:  # only {0, n1, ->} can lose its multiplicity, leaving {0, m+1, ->}
                 child = ray(m + 1)
                 above = gens = child.min_generators
                 ap = list(child.apery)
                 break
-            # S \ {m} keeps S's generators above m and gains m + n1 unless some
-            # smaller generator n_j has m + n1 - n_j in S; appending keeps the
-            # order, since each generator n_j has n_j - n1 <= frobenius < m
             j = gens.index(m)
-            above = gens[j + 1:]
-            c = m + n1
-            for g in gens[1:j]:
-                if c - g >= ap[(c - g) % n1]:
-                    break
-            else:
-                above += (c,)
+            above = _child_above(gens, ap, j)
             gens = gens[:j] + above
-            ap[m % n1] = c
+            ap[m % n1] = m + n1
             break
         else:
             return
@@ -228,33 +236,64 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     """All solutions of the instance, read off the paths to the depth-g vertices:
     the generators removed on a path are its leaf's gaps above r.
 
-    The walk stops at depth g - 1, and each admissible generator v of a
-    vertex there is a leaf, listed as ``path + (v,)`` and never built.
-    The leaves still count against the budget in preorder, right after
-    their parent and before they are listed; vertex max_nodes + 1 raises
-    the same ResourceLimitError as in ``_walk``.
+    The walk stops at depth g - 2, and S \\ {m} for each admissible
+    generator m of a vertex S there is read off S, not entered: its
+    generators above m come from ``_child_above`` and its table is S's with
+    ``ap[m % n1]`` set to m + n1 around its ``admissible`` test.  Each
+    generator v that test keeps is a leaf, listed as ``path + (m, v)``.
+    At g = 1 the root's leaves are read off it.  Every vertex still counts
+    in preorder, S \\ {m} after its elder siblings' leaves and its own
+    leaves right after it, so vertex max_nodes + 1 raises the same
+    ResourceLimitError as in ``_walk``.
     """
     _check_count("max_nodes", max_nodes)
-    if not inst.g:  # the root is the one depth-0 vertex, with no gaps above r
+    g = inst.g
+    if not g:  # the root is the one depth-0 vertex, with no gaps above r
         if not max_nodes:
             raise _over_budget(max_nodes, 0)
         return SolutionSet(((),), 1, False)
+    pre = Preimages(inst)
+    free = pre.free
+    if g == 1:  # the root is the depth-(g - 1) vertex
+        vs, ap = ray(inst.r + 1)
+        if not max_nodes:
+            raise _over_budget(max_nodes, 0)
+        if not free:
+            vs = admissible(vs, ap, pre)
+        if len(vs) >= max_nodes:
+            raise _over_budget(max_nodes, 1)
+        return SolutionSet(tuple((v,) for v in vs), 1 + len(vs), False)
     sols = []
     node_count = 0
-    last = inst.g - 1
-    pre = Preimages(inst)
-    for _, above, ap, path in _walk(inst, pre, last, max_nodes=max_nodes):
+    last = g - 2
+    for gens, above, ap, path in _walk(inst, pre, last, max_nodes=max_nodes):
         node_count += 1
         if node_count > max_nodes:
             raise _over_budget(max_nodes, len(path))
         if len(path) < last:
             continue
-        vs = admissible(above, ap, pre)
-        node_count += len(vs)
-        if node_count > max_nodes:
-            raise _over_budget(max_nodes, inst.g)
-        prefix = tuple(path)
-        sols += [prefix + (v,) for v in vs]
+        n1 = gens[0]
+        base = tuple(path)
+        for m in above if free else admissible(above, ap, pre):
+            # only {0, n1, ->} loses n1, leaving {0, m+1, ->}: built before it
+            # counts, as the walk builds it, so the table cap trips first
+            child = ray(m + 1) if m == n1 else None
+            node_count += 1
+            if node_count > max_nodes:
+                raise _over_budget(max_nodes, g - 1)
+            if child:
+                vs = child.min_generators if free else admissible(child.min_generators, child.apery, pre)
+            else:
+                vs = _child_above(gens, ap, gens.index(m))
+                if not free:
+                    ap[m % n1] = m + n1
+                    vs = admissible(vs, ap, pre)
+                    ap[m % n1] = m
+            node_count += len(vs)
+            if node_count > max_nodes:
+                raise _over_budget(max_nodes, g)
+            for v in vs:  # a plain loop: vs is short, and a comprehension is a call
+                sols.append(base + (m, v))
     return SolutionSet(tuple(sols), node_count, False)
 
 

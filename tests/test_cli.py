@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from abmonoids import ProblemInstance, solve
 from abmonoids.cli import _solution_lines, parse_args, run
 
 WORKED = ["--a", "1,2", "--b", "4,1", "--X", "5", "--g", "6"]
@@ -196,6 +198,25 @@ class TestSolveCommand:
         assert code == 0
         assert out == "1,2,3,4,6,7\n1,2,3,4,6,8\n1,2,3,4,7,8\n"
         assert err == "# solutions=3 nodes=16\n"
+
+    @pytest.mark.parametrize(
+        "inst, digest",
+        [
+            (ProblemInstance(g=20), "6590d9dddcd73664e3199a7a4678960d84896e48f999eae236518709328ad0ae"),
+            (
+                ProblemInstance(a=(1, 3), b=(7, 2), x={48}, g=30),
+                "b6036971a316933cea59e4aff2cb514f56dc749fbfb316015a9bc3ee436c420f",
+            ),
+        ],
+        ids=["free-g20", "affine-family-3"],
+    )
+    def test_solution_bytes_are_pinned(self, inst, digest):
+        # SHA-256 of the printed solution lines (37,396 and 9,586 of them)
+        # and the node count: a kernel that reorders, drops or adds a line
+        # fails here
+        result = solve(inst)
+        text = _solution_lines(result.solutions) + f"nodes={result.node_count}\n"
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_engines_agree_byte_for_byte(self, capsys):
         _, tree_out, _ = invoke(["solve", *WORKED], capsys)

@@ -143,6 +143,15 @@ class TestVarietyRoot:
         with pytest.raises(ResourceLimitError, match=f"exceed {MAX_TABLE_SIZE} entries for multiplicity {MAX_TABLE_SIZE + 1}$"):
             solve(ProblemInstance(g=1, r=MAX_TABLE_SIZE))
 
+    @pytest.mark.parametrize("g", [1, 2])
+    def test_table_cap_trips_before_the_node_budget(self, g):
+        # the walk builds a vertex before it counts it, and solve does the
+        # same with the depth-1 ray {0, r+g, ->} it reads off the root at
+        # g = 2 without entering it
+        inst = ProblemInstance(g=g, r=MAX_TABLE_SIZE + 1 - g)
+        with pytest.raises(ResourceLimitError, match=f"exceed {MAX_TABLE_SIZE} entries for multiplicity {MAX_TABLE_SIZE + 1}$"):
+            solve(inst, max_nodes=g - 1)
+
 
 class TestChildren:
     def test_two_children(self):
@@ -498,9 +507,13 @@ def test_solve_matches_the_deepest_level_of_the_walk():
     def levels(inst, max_nodes):
         return enumerate_levels(inst, inst.g, max_nodes=max_nodes)
 
+    # pinned: g = 1 (the root's leaves), g = 2 (S \ {n1} of the root is the
+    # ray {0, r+2, ->}, read off it), and the seed 7 as a depth-g candidate:
+    # <3,4,5> \ {4} = <3,5,7> is at depth 3
+    pinned = [ProblemInstance(g=g, r=k) for g in (1, 2) for k in range(5)]
+    pinned += [WORKED._replace(g=1), WORKED._replace(g=2), ProblemInstance(a=(2,), b=(3,), x={7}, g=4)]
     rng = random.Random(3)
-    for _ in range(150):
-        inst = random_instance(rng)
+    for inst in pinned + [random_instance(rng) for _ in range(150)]:
         tree = enumerate_levels(inst, inst.g)
         leaves = tree[inst.g] if len(tree) > inst.g else []
         total = sum(map(len, tree))
