@@ -20,13 +20,15 @@ minimal generators, so two such values are equal exactly when their
 minimal generating sets are.  ``x in s`` is semigroup membership, not a
 search of the fields, and the fields cannot be reassigned.
 
-Every value is built by one ascending worklist, ``_worklist_closure``:
+Every value this module builds but a ray {0, m, ->}, which ``ray``
+writes down, comes from one ascending worklist, ``_worklist_closure``:
 the smallest (a, b)-monoid holding a seed set, closed under the maps
 m -> a_i * m + b_i; ``from_generators`` is that pass with no maps.  It
 adjoins only candidates not yet members, exactly the minimal generators,
 each by the round-robin pass of Böcker and Lipták (2007), see
 ``add_generator``, so the Frobenius number never needs a bound.  Affine
-images are checked against the signed 64-bit range.
+images are checked against the signed 64-bit range.  ``tree.py`` builds
+each tree vertex from its parent.
 """
 
 from __future__ import annotations
@@ -210,27 +212,3 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         raise ValueError(f"gcd of generators is {d}, expected 1")
     return _worklist_closure((), (), gen_list)
 
-
-def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
-    """The semigroup ``s`` minus the minimal generator ``m``, for m > frobenius.
-
-    The removal keeps every other element, so the result has Frobenius
-    number ``m`` and one more gap.  Removing the multiplicity shifts the
-    whole ray and changes the modulus.  Otherwise the Apéry element of m's
-    residue moves from m to m + multiplicity, the smallest member left
-    there.  ``from_generators`` builds it afresh from the other generators
-    of ``s`` and m + n_1, n_1 the multiplicity: a new minimal generator is
-    m + t with t a nonzero member, and for t > n_1, m + t = n_1 + (m + t -
-    n_1) is a sum of two members left.
-    """
-    gens = s.min_generators
-    if m not in gens:
-        raise ValueError(f"{m} is not a minimal generator of {s}")
-    if m <= s.frobenius:
-        raise ValueError(f"{m} is not above the Frobenius number {s.frobenius}")
-
-    n1 = gens[0]
-    if m == n1:
-        # m > frobenius forces s == {0, m, ->}; dropping m leaves {0, m+1, ->}.
-        return ray(m + 1)
-    return from_generators([g for g in gens if g != m] + [m + n1])

@@ -24,22 +24,21 @@ each removed generator is the Frobenius number of the vertex it leads to.
 
 One depth-first kernel, ``_walk``, serves ``solve``, ``enumerate_levels``
 and ``export_tree``.  It keeps a single Apéry table and edits it in
-place: removing a generator m other than the multiplicity n1 moves one
-entry, ``ap[m % n1]``, from m to m + n1, and the walk puts m back on the
-way up.  Only the ray {0, n1, ->} can lose n1, and its child
-{0, n1+1, ->} starts a fresh table.  The walk holds the path of removed
-generators and at most one frame per depth (a vertex's generators, its
-table and an iterator over its admissible generators; none for a vertex
-without one), builds a child's generators with ``_child_above`` only on
-entering it, and yields bare ``(generators, above, table, path)``,
-``above`` being the generators above the Frobenius number; callers build
-a ``NumericalSemigroup`` only for the vertices they keep (the Apéry
-update of Bras-Amorós's generator-removal tree, walked with the explicit
-stack of Fromentin and Hivert).  Most vertices sit in the last two
-levels, so ``solve`` walks only to depth g - 2 and reads those levels off
-each vertex S there: for each admissible generator m of S, the generators
-above m of S \\ {m} and S's table with one entry moved tell which v
-complete the solution ``path + (m, v)``.
+place: ``_enter``, the one statement of the child rule, turns S's table
+into that of S \\ {m} by moving one entry (only the ray {0, n1, ->} gets
+a fresh table for its child), and the walk puts the entry back on the
+way up.  It holds the path of removed generators and at most one frame
+per depth (a vertex's generators, its table and an iterator over its
+admissible generators; none for a vertex without one), and yields bare
+``(generators, above, table, path)``, ``above`` being the generators
+above the Frobenius number; callers build a ``NumericalSemigroup`` only
+for the vertices they keep (the Apéry update of Bras-Amorós's
+generator-removal tree, walked with the explicit stack of Fromentin and
+Hivert).  Most vertices sit in the last two levels, so ``solve`` walks
+only to depth g - 2 and reads those levels off each vertex S there: for
+each admissible generator m of S, ``_enter`` gives the generators above m
+of S \\ {m} and its table, which tell which v complete the solution
+``path + (m, v)``.
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .closure import ProblemInstance
 from .errors import ResourceLimitError
-from .semigroup import NumericalSemigroup, ray, remove_generator
+from .semigroup import NumericalSemigroup, ray
 from .semigroup import from_generators  # noqa: F401  (the benchmark's tracer wraps this name here)
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -137,21 +136,45 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be non-negative")
 
 
-def _child_above(gens: tuple[int, ...], ap: Sequence[int], j: int) -> tuple[int, ...]:
-    """The generators above m = gens[j] of S \\ {m}, for S with generators
-    ``gens`` and table ``ap`` and m > n1 = gens[0] above its Frobenius number.
+def _enter(gens: tuple[int, ...], ap: list[int], m: int) -> tuple[int, tuple[int, ...], list[int]]:
+    """The child S \\ {m} of the vertex S with generators ``gens`` and table
+    ``ap``, for a generator m above S's Frobenius number, as ``(j, above,
+    table)``: its generators are ``gens[:j] + above``, and ``above`` holds
+    those above its Frobenius number m.
 
-    They are S's generators after m, plus m + n1 unless m + n1 - n is in S
-    for a generator n between n1 and m; that difference is below m, so S's
-    table answers for S \\ {m}, and m + n1 comes last, since every
-    generator n has n - n1 <= frobenius < m.
+    Only the ray {0, n1, ->} can lose its multiplicity n1 = gens[0], leaving
+    the fresh ray {0, m+1, ->}, with j = 0.  Otherwise ``ap`` becomes the
+    table, its entry ``ap[m % n1]`` moved from m to m + n1, the smallest
+    member left in m's residue, which the caller puts back; j is m's index,
+    and ``above`` is S's generators after m, plus m + n1 unless m + n1 - n
+    is a member for a generator n between n1 and m.  Every other new minimal
+    generator would be m + t for a member t > n1, a sum n1 + (m + t - n1) of
+    two members left; m + n1 - n is below m, so S's table answers for it,
+    and m + n1 comes last, since every generator n has n - n1 <= frobenius < m.
     """
     n1 = gens[0]
-    c = gens[j] + n1
-    for g in gens[1:j]:
-        if c - g >= ap[(c - g) % n1]:
-            return gens[j + 1:]
-    return gens[j + 1:] + (c,)
+    if m == n1:
+        child = ray(m + 1)
+        return 0, child.min_generators, list(child.apery)
+    j = gens.index(m)
+    c = m + n1
+    ap[m % n1] = c
+    for n in gens[1:j]:
+        if c - n >= ap[(c - n) % n1]:
+            return j, gens[j + 1:], ap
+    return j, gens[j + 1:] + (c,), ap
+
+
+def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
+    """The semigroup ``s`` minus its minimal generator ``m``, for m above its
+    Frobenius number: ``_enter`` on a copy of its table."""
+    gens = s.min_generators
+    if m not in gens:
+        raise ValueError(f"{m} is not a minimal generator of {s}")
+    if m <= s.frobenius:
+        raise ValueError(f"{m} is not above the Frobenius number {s.frobenius}")
+    j, above, ap = _enter(gens, list(s.apery), m)
+    return NumericalSemigroup(gens[:j] + above, tuple(ap))
 
 
 def _walk(
@@ -203,15 +226,8 @@ def _walk(
                 path.pop()
                 continue
             path[-1] = m
-            if m == n1:  # only {0, n1, ->} can lose its multiplicity, leaving {0, m+1, ->}
-                child = ray(m + 1)
-                above = gens = child.min_generators
-                ap = list(child.apery)
-                break
-            j = gens.index(m)
-            above = _child_above(gens, ap, j)
+            j, above, ap = _enter(gens, ap, m)
             gens = gens[:j] + above
-            ap[m % n1] = m + n1
             break
         else:
             return
@@ -237,10 +253,10 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     the generators removed on a path are its leaf's gaps above r.
 
     The walk stops at depth g - 2, and S \\ {m} for each admissible
-    generator m of a vertex S there is read off S, not entered: its
-    generators above m come from ``_child_above`` and its table is S's with
-    ``ap[m % n1]`` set to m + n1 around its ``admissible`` test.  Each
-    generator v that test keeps is a leaf, listed as ``path + (m, v)``.
+    generator m of a vertex S there is read off S, not walked into:
+    ``_enter`` gives its generators above m and its table, and S's entry
+    is put back after their ``admissible`` test.  Each generator v that
+    test keeps is a leaf, listed as ``path + (m, v)``.
     At g = 1 the root's leaves are read off it.  Every vertex still counts
     in preorder, S \\ {m} after its elder siblings' leaves and its own
     leaves right after it, so vertex max_nodes + 1 raises the same
@@ -275,20 +291,15 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
         n1 = gens[0]
         base = tuple(path)
         for m in above if free else admissible(above, ap, pre):
-            # only {0, n1, ->} loses n1, leaving {0, m+1, ->}: built before it
-            # counts, as the walk builds it, so the table cap trips first
-            child = ray(m + 1) if m == n1 else None
+            # entered before it counts, as in the walk, so the table cap trips first
+            _, vs, table = _enter(gens, ap, m)
             node_count += 1
             if node_count > max_nodes:
                 raise _over_budget(max_nodes, g - 1)
-            if child:
-                vs = child.min_generators if free else admissible(child.min_generators, child.apery, pre)
-            else:
-                vs = _child_above(gens, ap, gens.index(m))
-                if not free:
-                    ap[m % n1] = m + n1
-                    vs = admissible(vs, ap, pre)
-                    ap[m % n1] = m
+            if not free:
+                vs = admissible(vs, table, pre)
+            if m != n1:
+                ap[m % n1] = m
             node_count += len(vs)
             if node_count > max_nodes:
                 raise _over_budget(max_nodes, g)

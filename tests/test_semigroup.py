@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abmonoids import NumericalSemigroup, ResourceLimitError, from_generators
-from abmonoids.semigroup import MAX_TABLE_SIZE, remove_generator
+from abmonoids.semigroup import MAX_TABLE_SIZE
+from abmonoids.tree import remove_generator
 
 from conftest import (
     assert_semigroup_consistent,

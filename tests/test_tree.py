@@ -21,8 +21,8 @@ from abmonoids import (
     oracle_solve,
     solve,
 )
-from abmonoids.semigroup import MAX_TABLE_SIZE, ray, remove_generator
-from abmonoids.tree import Preimages, _walk, admissible, children
+from abmonoids.semigroup import MAX_TABLE_SIZE, ray
+from abmonoids.tree import Preimages, _enter, _walk, admissible, children, remove_generator
 
 from conftest import (
     A007323,
@@ -592,6 +592,75 @@ def test_a_vertex_is_live_iff_its_leftmost_descent_reaches_depth_g():
                 assert flags == sorted(flags, reverse=True), (inst, s)
                 dead += not live[s]
     assert dead > 1000
+
+
+# the reference trees, each to depth g + 2, of the two facts and the child rule below
+FACT_TREES = [
+    *instance_corpus(200),
+    ProblemInstance(g=12),
+    ProblemInstance(a=(1, 3), b=(7, 2), x={48}, g=14),
+    ProblemInstance(a=(1,), b=(5,), x={30}, g=14),
+]
+
+
+def test_every_child_but_the_last_keeps_an_admissible_generator():
+    """Two facts that bound any cut of the walk.
+
+    (a) Let S have admissible generators m_1 < ... < m_k.  Every child
+    S \\ {m_i} with i < k has m_{i+1} as an admissible generator: m_{i+1} is
+    above its Frobenius number m_i; it is a member, and still a minimal
+    generator, since S \\ {m_i} ⊂ S; it is no seed value; and none of its
+    preimages is a positive member of S \\ {m_i}, since none is one of S.
+    (b) So a vertex at depth d with k admissible generators has a leftmost
+    descent to depth >= d + k, by induction on k: its first child has at
+    least k - 1.  Capped at the walk's depth, as the tree is cut there.
+
+    Hence below a depth-(g - 2) vertex only the last child can have no leaf.
+    """
+    checked = 0
+    for inst in FACT_TREES:
+        depth_limit = inst.g + 2
+        levels = bfs_levels(inst, depth_limit)
+        kids = {}
+        for level in levels[1:]:
+            for parent, s in level:
+                kids.setdefault(parent, []).append(s)
+        reach = {}
+        for depth in reversed(range(len(levels))):
+            for _, s in levels[depth]:
+                below = kids.get(s, [])
+                reach[s] = reach[below[0]] if below else depth
+                # the vertices at depth_limit have no children listed, and pass
+                for c, nxt in zip(below, below[1:]):
+                    assert nxt.frobenius in reference_admissible(c, inst), (inst, s, c)
+                assert reach[s] >= min(depth + len(below), depth_limit), (inst, s)
+                checked += 1
+    assert checked == 13971
+
+
+def test_enter_matches_a_fresh_construction_of_each_child():
+    # the child rule against from_generators, on every vertex S of the
+    # reference trees and every generator m above its Frobenius number: S's
+    # generators without m, plus m + n1, generate S \ {m}, since any other new
+    # generator m + t, t > n1 a member, splits as n1 + (m + t - n1); only
+    # {0, n1, ->} loses n1, leaving the ray {0, n1 + 1, ->}
+    for inst in FACT_TREES:
+        for level in bfs_levels(inst, inst.g + 2):
+            for _, s in level:
+                gens, n1 = s.min_generators, s.min_generators[0]
+                for m in above_frobenius(s):
+                    ap = list(s.apery)
+                    j, above, table = _enter(gens, ap, m)
+                    if m == n1:
+                        want = ray(m + 1)
+                    else:
+                        want = from_generators([n for n in gens if n != m] + [m + n1])
+                        assert table is ap, (inst, s, m)  # moved in place
+                    assert (gens[:j] + above, tuple(table)) == want, (inst, s, m)
+                    assert above == tuple(above_frobenius(want)), (inst, s, m)
+                    if m != n1:
+                        ap[m % n1] = m  # the walk's undo restores S's table
+                    assert tuple(ap) == s.apery, (inst, s, m)
 
 
 def test_children_match_the_defining_conditions():
