@@ -83,10 +83,6 @@ class SubmonoidRep(NamedTuple):
     d: int
     base: NumericalSemigroup
 
-    def contains(self, v: int) -> bool:
-        # a negative v fails in base, since v // d < 0
-        return v % self.d == 0 and self.base.contains(v // self.d)
-
     def expanded_generators(self) -> tuple[int, ...]:
         """Minimal generators of the represented monoid itself."""
         return tuple(self.d * g for g in self.base.min_generators)

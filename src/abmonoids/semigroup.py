@@ -56,12 +56,10 @@ class NumericalSemigroup(NamedTuple):
     min_generators: tuple[int, ...]
     apery: tuple[int, ...]
 
-    def contains(self, x: int) -> bool:
+    def __contains__(self, x: int) -> bool:
         """Membership test; negative integers are never members."""
         ap = self.apery
         return x >= ap[x % len(ap)]  # x % m >= 0 and ap >= 0, so x < 0 fails
-
-    __contains__ = contains
 
     @property
     def frobenius(self) -> int:

@@ -72,7 +72,8 @@ class Preimages(dict):
     the semigroup left, and 0 is a member of every semigroup, so one
     membership test covers both rules.  Each distinct value is worked out
     once per table; a table serves one walk.  ``free`` records an instance
-    with no maps and no seeds, whose every entry would be empty.
+    with no maps and no seeds, whose every entry would be empty; ``_walk``
+    and ``solve`` read it to keep every generator without a lookup.
     """
 
     __slots__ = ("maps", "x", "free")
@@ -99,11 +100,9 @@ def admissible(above: Sequence[int], ap: Sequence[int], pre: Preimages) -> list[
     the semigroup whose Apéry table is ``ap``: its members are the x with
     ``x >= ap[x % len(ap)]``.  Removing m leaves every member but m, and m
     is no preimage of itself, so a generator is kept when no entry of
-    ``pre`` for it is a member of this semigroup; a free table keeps them
-    all unread.
+    ``pre`` for it is a member of this semigroup.  ``_walk`` and ``solve``
+    skip the call for a free instance, whose generators are all kept.
     """
-    if pre.free:
-        return list(above)
     n1 = len(ap)
     out = []
     for m in above:

@@ -68,7 +68,13 @@ def intersect(s: NumericalSemigroup, t: NumericalSemigroup) -> NumericalSemigrou
     up to 2F + 2 generate it.
     """
     hi = 2 * max(s.frobenius, t.frobenius, 0) + 2
-    return from_generators(v for v in range(1, hi + 1) if s.contains(v) and t.contains(v))
+    return from_generators(v for v in range(1, hi + 1) if v in s and v in t)
+
+
+def rep_contains(rep, v: int) -> bool:
+    """Membership in the monoid d * S that a ``SubmonoidRep`` stands for; a
+    negative v fails in S, since v // d < 0."""
+    return v % rep.d == 0 and v // rep.d in rep.base
 
 
 def gaps_above(s: NumericalSemigroup, r: int) -> tuple[int, ...]:
@@ -92,7 +98,7 @@ def _min_generators_of(contains, frobenius: int) -> tuple[int, ...]:
 
 def recomputed_min_generators(s: NumericalSemigroup) -> tuple[int, ...]:
     """Minimal generators recomputed from the membership table alone."""
-    return _min_generators_of(s.contains, s.frobenius)
+    return _min_generators_of(s.__contains__, s.frobenius)
 
 
 def semigroup_from_members(contains, frobenius: int) -> NumericalSemigroup:
@@ -114,7 +120,7 @@ def assert_semigroup_consistent(s: NumericalSemigroup) -> None:
     """Field-level consistency: gaps/genus/frobenius/table/msg/apery and the
     gap counts above each floor all agree."""
     assert s.genus == len(s.gaps)
-    table = [s.contains(v) for v in range(s.frobenius + 2)]  # membership of 0..F+1
+    table = [v in s for v in range(s.frobenius + 2)]  # membership of 0..F+1
     assert table[0]
     assert s.gaps == tuple(i for i, member in enumerate(table) if not member)
     if s.gaps:
@@ -132,7 +138,7 @@ def assert_semigroup_consistent(s: NumericalSemigroup) -> None:
     members = [v for v, member in enumerate(table) if member]
     for u in members:
         for v in members:
-            assert s.contains(u + v), (s, u, v)
+            assert u + v in s, (s, u, v)
 
 
 def assert_tree_invariants(levels, inst: ProblemInstance) -> None:
@@ -148,8 +154,8 @@ def assert_tree_invariants(levels, inst: ProblemInstance) -> None:
         for s in level:
             assert s.genus == depth + inst.r, (s, depth, inst)
             # contained in {0, r+1, ->} and containing the forbidden-set seed
-            assert all(not s.contains(v) for v in range(1, inst.r + 1))
-            assert all(s.contains(v) for v in inst.x)
+            assert all(v not in s for v in range(1, inst.r + 1))
+            assert all(v in s for v in inst.x)
             assert is_affine_closed(s.min_generators, inst.a, inst.b)
             assert_semigroup_consistent(s)
             if depth > 0:
@@ -157,7 +163,7 @@ def assert_tree_invariants(levels, inst: ProblemInstance) -> None:
                 # S ∪ {F} has Frobenius number below F, so its minimal
                 # generators are at most 2F - 1
                 parent = from_generators(
-                    v for v in range(1, 2 * f + 2) if v == f or s.contains(v)
+                    v for v in range(1, 2 * f + 2) if v == f or v in s
                 )
                 assert parent.min_generators in keys[depth - 1], (s, parent)
                 assert f in parent.min_generators and f > parent.frobenius
@@ -191,7 +197,7 @@ def reference_admissible(s: NumericalSemigroup, inst: ProblemInstance) -> list[i
             continue
         maps = zip(inst.a, inst.b)
         preimages = [(m - bi) // ai for ai, bi in maps if m > bi and not (m - bi) % ai]
-        if not any(s.contains(p) for p in preimages):
+        if not any(p in s for p in preimages):
             out.append(m)
     return out
 

@@ -113,21 +113,21 @@ class TestFromGenerators:
 
 class TestContains:
     def test_gap_of_small_semigroup(self):
-        assert not from_generators({5, 7, 9}).contains(11)
+        assert 11 not in from_generators({5, 7, 9})
 
     def test_zero_always_member(self):
-        assert from_generators({5, 7, 9}).contains(0)
-        assert from_generators({1}).contains(0)
+        assert 0 in from_generators({5, 7, 9})
+        assert 0 in from_generators({1})
 
     def test_worked_gap(self):
-        assert not from_generators({5, 9, 11, 13, 17}).contains(12)
+        assert 12 not in from_generators({5, 9, 11, 13, 17})
 
     def test_negative_never_member(self):
-        assert not from_generators({2, 3}).contains(-1)
+        assert -1 not in from_generators({2, 3})
 
     def test_above_frobenius(self):
         s = from_generators({5, 7, 9})
-        assert s.contains(s.frobenius + 1)
+        assert s.frobenius + 1 in s
         assert 14 in s
 
 
@@ -154,8 +154,10 @@ class TestImmutableValue:
         assert s.frobenius == 7
         assert 7 not in s
         assert 8 in s
-        # ``in`` is ``contains`` itself, one call, not a wrapper around it
-        assert NumericalSemigroup.__contains__ is NumericalSemigroup.contains
+        # ``in`` is the one membership method, defined on the class itself:
+        # one call, with no ``contains`` for it to wrap
+        assert "__contains__" in vars(NumericalSemigroup)
+        assert not hasattr(NumericalSemigroup, "contains")
         assert [x for x in range(-3, 12) if x in s] == [0, 3, 5, 6, 8, 9, 10, 11]
 
     def test_equality_and_hash_on_min_generators_alone(self):
@@ -272,7 +274,7 @@ def test_construction_consistent_and_matches_saturation(gens):
     assert_semigroup_consistent(s)
     limit = s.frobenius + 2
     expected = saturated_members(gens, limit)
-    assert {v for v in range(limit + 1) if s.contains(v)} == expected
+    assert {v for v in range(limit + 1) if v in s} == expected
 
 
 @given(wide_gen_sets())
@@ -283,7 +285,7 @@ def test_wide_construction_matches_saturation(gens):
     limit = s.frobenius + m
     members = saturated_members(gens, limit)
     assert s.apery == smallest_by_residue(members, m)
-    assert {v for v in range(limit + 1) if s.contains(v)} == members
+    assert {v for v in range(limit + 1) if v in s} == members
     assert s.frobenius == max(set(range(limit + 1)) - members, default=-1)
     assert s.genus == limit + 1 - len(members)
     for r in (0, m, s.frobenius // 2, s.frobenius, s.frobenius + 1):
@@ -320,7 +322,7 @@ def test_remove_generator_matches_recomputation(gens):
         assert got.genus == s.genus + 1
         # pointwise: exactly m left, on a window past every minimal generator
         for v in range(2 * m + 3):
-            assert got.contains(v) == (s.contains(v) and v != m)
+            assert (v in got) == (v in s and v != m)
         assert recomputed_min_generators(got) == got.min_generators
 
 
@@ -332,4 +334,4 @@ def test_intersect_matches_pointwise_and(gens_a, gens_b):
     meet = intersect(s, t)
     assert_semigroup_consistent(meet)
     for v in range(2 * max(s.frobenius, t.frobenius, 0) + 3):
-        assert meet.contains(v) == (s.contains(v) and t.contains(v))
+        assert (v in meet) == (v in s and v in t)

@@ -751,12 +751,24 @@ class TestPruningEdgeCases:
         s = ray(4)
         assert admissible(s.min_generators, list(s.apery), table) == [4, 5, 6, 7]
 
-    def test_constraint_free_table_stores_nothing(self):
-        # no maps and no seeds: every generator above f is kept unread
+    def test_constraint_free_table_stores_nothing(self, monkeypatch):
+        # no maps and no seeds: the walk and solve keep every generator
+        # above f without calling admissible, so their tables stay empty
+        tables = []
+
+        class Recording(Preimages):
+            def __init__(self, inst):
+                super().__init__(inst)
+                tables.append(self)
+
+        monkeypatch.setattr(importlib.import_module("abmonoids.tree"), "Preimages", Recording)
+        assert solve(ProblemInstance(g=8)).node_count == 156
+        assert len(enumerate_levels(ProblemInstance(r=2), 5)) == 6
+        assert len(tables) == 2 and all(t.free and t == {} for t in tables)
+        # a direct call keeps them too, through one empty entry each
         table = Preimages(ProblemInstance(g=3))
         s = ray(4)
         assert admissible(s.min_generators, list(s.apery), table) == [4, 5, 6, 7]
-        assert table == {}
         assert not Preimages(ProblemInstance(x={9})).free
         assert not Preimages(ProblemInstance(a=(2,), b=(9,))).free
 
@@ -769,7 +781,7 @@ class TestPruningEdgeCases:
         t = remove_generator(s, 3)
         table = Preimages(inst)
         assert (above_frobenius(t), table[5]) == ([5], (3,))
-        assert s.contains(3) and not t.contains(3)
+        assert 3 in s and 3 not in t
         assert admissible(above_frobenius(t), t.apery, table) == [5]
 
 
@@ -794,21 +806,27 @@ def test_no_table_is_shared_across_instances_or_calls():
             assert solve(second) == wants[1], second
 
 
+def _count_tree_calls(monkeypatch, names):
+    """Count the calls made through the named functions of ``abmonoids.tree``."""
+    tree_module = importlib.import_module("abmonoids.tree")
+    calls = Counter()
+    for name in names:
+        fn = getattr(tree_module, name)
+
+        def counted(*args, _fn=fn, _name=name, **kwargs):
+            calls[_name] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(tree_module, name, counted)
+    return calls
+
+
 def test_tree_expansion_goes_through_the_module_names(monkeypatch):
     # the walk keeps one Apéry table in place: it never calls children or
     # remove_generator, and builds a fresh table through the module name
     # ray only for the root and for each removal of the multiplicity, the
     # spine {0, k, ->} with one vertex per depth
-    tree_module = importlib.import_module("abmonoids.tree")
-    calls = Counter()
-    for name in ("children", "remove_generator", "ray"):
-        fn = getattr(tree_module, name)
-
-        def counted(*args, _fn=fn, _name=name):
-            calls[_name] += 1
-            return _fn(*args)
-
-        monkeypatch.setattr(tree_module, name, counted)
+    calls = _count_tree_calls(monkeypatch, ("children", "remove_generator", "ray"))
     inst = ProblemInstance(g=8)
     # 156 vertices down to genus 8; solve walks to depth 7 and lists the
     # leaves at depth 8 without entering them, so it meets the spine at
@@ -821,3 +839,26 @@ def test_tree_expansion_goes_through_the_module_names(monkeypatch):
     calls.clear()
     assert export_tree(inst, 8).count(";") == 156 + 155
     assert calls == {"ray": 9}
+
+
+def test_solve_answers_genus_zero_without_building_the_root(monkeypatch):
+    # the root {0, r+1, ->} of this instance is over the table cap, yet its
+    # one solution, the empty set, needs no table: a walk would build the
+    # root and refuse an instance that fits
+    calls = _count_tree_calls(monkeypatch, ("ray", "_enter", "_walk"))
+    result = solve(ProblemInstance(g=0, r=MAX_TABLE_SIZE + 1))
+    assert result == SolutionSet(((),), 1, False)
+    assert calls == {}
+
+
+def test_solve_reads_genus_one_off_the_root_alone(monkeypatch):
+    # the leaves of the root {0, r+1, ->} are its r + 1 generators, read off
+    # one ray in time linear in r.  Walking to depth 1 instead enters every
+    # leaf, an O(r) table edit each, so it is quadratic: enumerate_levels of
+    # the free tree to depth 1 took 0.26, 1.03 and 4.6 s at r = 2,000, 4,000
+    # and 8,000, where solve at g = 1 took 0.9-1.9 ms (CPython 3.11, 2 vCPUs)
+    calls = _count_tree_calls(monkeypatch, ("ray", "_enter", "_walk"))
+    result = solve(ProblemInstance(g=1, r=50))
+    assert result.solutions == tuple((v,) for v in range(51, 102))
+    assert (len(result.solutions), result.node_count) == (51, 52)
+    assert calls == {"ray": 1}
