@@ -44,11 +44,11 @@ def build_parser() -> argparse.ArgumentParser:
         "divisors (c - b_i) / a_i.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def instance_flags(p, with_g):
+    for name, handler, flags, help_text in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
         # Set per subparser: Python versions differ on whether parent defaults win.
         # ``parser`` lets the checks made after argparse report with this usage.
-        p.set_defaults(g=0, depth=None, max_nodes=DEFAULT_NODE_BUDGET, parser=p)
+        p.set_defaults(g=0, depth=None, max_nodes=DEFAULT_NODE_BUDGET, parser=p, handler=handler)
         p.add_argument("--a", type=_csv_ints, default=(), metavar="A1,A2,..",
                        help="affine multipliers (omit together with --b for none)")
         p.add_argument("--b", type=_csv_ints, default=(), metavar="B1,B2,..",
@@ -57,32 +57,14 @@ def build_parser() -> argparse.ArgumentParser:
                        help="forbidden values (may be omitted or empty)")
         p.add_argument("--r", type=int, default=0,
                        help="solutions draw from integers >= r+1 (default 0)")
-        if with_g:
+        if "g" in flags:
             p.add_argument("--g", type=int, required=True, help="solution cardinality")
         p.add_argument("--out", default=None, metavar="PATH",
                        help="write output to PATH instead of stdout")
-
-    p = sub.add_parser("closure", help="smallest (a,b)-closed monoid containing X")
-    instance_flags(p, with_g=False)
-
-    p = sub.add_parser("feasible", help="decide whether a solution exists")
-    instance_flags(p, with_g=True)
-
-    p = sub.add_parser("one", help="print a single solution")
-    instance_flags(p, with_g=True)
-
-    p = sub.add_parser("solve", help="print all solutions")
-    instance_flags(p, with_g=True)
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-
-    p = sub.add_parser("oracle-solve", help="print all solutions (brute-force engine)")
-    instance_flags(p, with_g=True)
-
-    p = sub.add_parser("tree", help="write the semigroup tree as DOT")
-    instance_flags(p, with_g=False)
-    p.add_argument("--depth", type=int, required=True, help="levels to expand")
-    p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
-
+        if "depth" in flags:
+            p.add_argument("--depth", type=int, required=True, help="levels to expand")
+        if "max_nodes" in flags:
+            p.add_argument("--max-nodes", type=int, default=DEFAULT_NODE_BUDGET)
     return parser
 
 
@@ -102,17 +84,20 @@ def parse_args(argv=None) -> argparse.Namespace:
     return args
 
 
-def _emit(args: argparse.Namespace, text: str) -> int:
-    """Write ``text`` to --out or stdout: 0, or the usage code 2 when --out fails."""
+def _emit(args: argparse.Namespace, text: str, summary: str | None = None) -> int:
+    """Write ``text`` to --out or stdout, then ``summary`` to stderr: 0, or
+    the usage code 2, with no summary, when --out fails."""
     if args.out is None:
         sys.stdout.write(text)
-        return 0
-    try:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    except OSError as err:
-        print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
-        return 2
+    else:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as err:
+            print(f"error: cannot write {args.out}: {err.strerror}", file=sys.stderr)
+            return 2
+    if summary is not None:
+        print(summary, file=sys.stderr)
     return 0
 
 
@@ -133,7 +118,7 @@ def _cmd_closure(args: argparse.Namespace) -> int:
     monoid = instance_closure(args.instance)
     if monoid is None:
         return _emit(args, "d=1 M=<>\n")
-    line = f"d={monoid.d} M=<{','.join(map(str, monoid.base.min_generators))}>"
+    line = f"d={monoid.d} M={monoid.base!r}"
     if monoid.d > 1:
         line += f" expanded=<{','.join(map(str, monoid.expanded_generators()))}>"
     return _emit(args, line + "\n")
@@ -151,38 +136,35 @@ def _cmd_one(args: argparse.Namespace) -> int:
 
 def _cmd_solve(args: argparse.Namespace) -> int:
     result = solve(args.instance, max_nodes=args.max_nodes)
-    code = _emit(args, _solution_lines(result.solutions))
-    if not code:
-        print(f"# solutions={len(result.solutions)} nodes={result.node_count}", file=sys.stderr)
-    return code
+    return _emit(args, _solution_lines(result.solutions),
+                 f"# solutions={len(result.solutions)} nodes={result.node_count}")
 
 
 def _cmd_oracle_solve(args: argparse.Namespace) -> int:
     sols = oracle_solve(args.instance)
-    code = _emit(args, _solution_lines(sols))
-    if not code:
-        print(f"# solutions={len(sols)}", file=sys.stderr)
-    return code
+    return _emit(args, _solution_lines(sols), f"# solutions={len(sols)}")
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     return _emit(args, export_tree(args.instance, args.depth, max_nodes=args.max_nodes))
 
 
-_COMMANDS = {
-    "closure": _cmd_closure,
-    "feasible": _cmd_feasible,
-    "one": _cmd_one,
-    "solve": _cmd_solve,
-    "oracle-solve": _cmd_oracle_solve,
-    "tree": _cmd_tree,
-}
+# (name, handler, flags beyond --a --b --X --r --out, help); the one place a
+# command is declared
+_COMMANDS = (
+    ("closure", _cmd_closure, (), "smallest (a,b)-closed monoid containing X"),
+    ("feasible", _cmd_feasible, ("g",), "decide whether a solution exists"),
+    ("one", _cmd_one, ("g",), "print a single solution"),
+    ("solve", _cmd_solve, ("g", "max_nodes"), "print all solutions"),
+    ("oracle-solve", _cmd_oracle_solve, ("g",), "print all solutions (brute-force engine)"),
+    ("tree", _cmd_tree, ("depth", "max_nodes"), "write the semigroup tree as DOT"),
+)
 
 
 def run(args: argparse.Namespace) -> int:
     """Run the parsed command; each refusal gets its stderr line and exit code here."""
     try:
-        return _COMMANDS[args.command](args)
+        return args.handler(args)
     except InfeasibleError as err:
         print(f"infeasible: {err}", file=sys.stderr)
         return 1

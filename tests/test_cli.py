@@ -56,12 +56,24 @@ class TestParse:
 
     @pytest.mark.parametrize(
         "argv",
-        [["solve", *WORKED, "--engine", "oracle"], ["oracle-solve", *WORKED, "--max-nodes", "3"]],
+        [
+            ["solve", *WORKED, "--engine", "oracle"],
+            ["oracle-solve", *WORKED, "--max-nodes", "3"],
+            # each command's flags come from its row of the command table
+            ["closure", "--g", "1"],
+            ["closure", "--X", "6,8", "--max-nodes", "3"],
+            ["feasible", "--g", "2", "--depth", "1"],
+            ["one", "--g", "2", "--max-nodes", "3"],
+            ["tree", "--g", "2", "--depth", "1"],
+            ["solve", "--g", "2", "--depth", "1"],
+            ["oracle-solve", "--g", "2", "--depth", "1"],
+        ],
     )
-    def test_solve_and_oracle_solve_take_only_their_own_flags(self, argv):
+    def test_solve_and_oracle_solve_take_only_their_own_flags(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             parse_args(argv)
         assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -336,14 +336,13 @@ class TestSolve:
                 assert_refused(inst, k, depths[k])
 
     def test_free_tree_counts_are_a007323(self):
-        # numerical semigroups of genus 0..15 (OEIS A007323); the tree down
+        # numerical semigroups of genus 0..22 (OEIS A007323); the tree down
         # to depth g holds every semigroup of genus <= g
-        a007323 = A007323[:16]
-        for g, count in enumerate(a007323):
+        for g, count in enumerate(A007323):
             result = solve(ProblemInstance(g=g))
             assert len(result.solutions) == count
             assert list(result.solutions) == sorted(set(result.solutions))
-            assert result.node_count == sum(a007323[: g + 1])
+            assert result.node_count == sum(A007323[: g + 1])
 
 
 class TestExportTree:
@@ -604,7 +603,7 @@ FACT_TREES = [
 
 
 def test_every_child_but_the_last_keeps_an_admissible_generator():
-    """Two facts that bound any cut of the walk.
+    """Three facts that bound any cut of the walk.
 
     (a) Let S have admissible generators m_1 < ... < m_k.  Every child
     S \\ {m_i} with i < k has m_{i+1} as an admissible generator: m_{i+1} is
@@ -614,6 +613,17 @@ def test_every_child_but_the_last_keeps_an_admissible_generator():
     (b) So a vertex at depth d with k admissible generators has a leftmost
     descent to depth >= d + k, by induction on k: its first child has at
     least k - 1.  Capped at the walk's depth, as the tree is cut there.
+    (c) On each later sibling the leftmost descent ends at a smaller depth.
+    Let K(S) be the smallest (a, b)-monoid holding X and the members of S
+    up to its Frobenius number f; every descendant of S contains K(S), and
+    the leftmost descent from S, at depth d, ends at depth
+    D(S) = d + #((f, oo) \\ K(S)).  Take siblings c1 = S \\ {m_i} and
+    c2 = S \\ {m_{i+1}}.  By (a), m_{i+1} can be removed from c1, so it is
+    not in K(c1); it lies in c1's window (m_i, oo) but not in c2's window
+    (m_{i+1}, oo), which lies inside c1's; and K(c2) contains K(c1), since
+    c2 holds every member of c1 up to m_i.  So D(c2) <= D(c1) - 1.  A
+    descent that ends above the cut is not cut, so when c1's ends above
+    it, c2's ends above c1's.
 
     Hence below a depth-(g - 2) vertex only the last child can have no leaf.
     """
@@ -633,6 +643,7 @@ def test_every_child_but_the_last_keeps_an_admissible_generator():
                 # the vertices at depth_limit have no children listed, and pass
                 for c, nxt in zip(below, below[1:]):
                     assert nxt.frobenius in reference_admissible(c, inst), (inst, s, c)
+                    assert reach[c] == depth_limit or reach[nxt] < reach[c], (inst, s, c)
                 assert reach[s] >= min(depth + len(below), depth_limit), (inst, s)
                 checked += 1
     assert checked == 13971
