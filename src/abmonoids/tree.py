@@ -256,10 +256,11 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     ``_enter`` gives its generators above m and its table, and S's entry
     is put back after their ``admissible`` test.  Each generator v that
     test keeps is a leaf, listed as ``path + (m, v)``.
-    At g = 1 the root's leaves are read off it.  Every vertex still counts
-    in preorder, S \\ {m} after its elder siblings' leaves and its own
-    leaves right after it, so vertex max_nodes + 1 raises the same
-    ResourceLimitError as in ``_walk``.
+    At g = 1 the root's leaves are read off it.  S \\ {m} counts together
+    with its leaves, after its elder siblings' leaves, so one check finds
+    vertex max_nodes + 1 in preorder, at depth g - 1 when S \\ {m} itself
+    is past the budget and at depth g otherwise, and raises the same
+    ResourceLimitError as ``_walk``.
     """
     _check_count("max_nodes", max_nodes)
     g = inst.g
@@ -271,12 +272,10 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     free = pre.free
     if g == 1:  # the root is the depth-(g - 1) vertex
         vs, ap = ray(inst.r + 1)
-        if not max_nodes:
-            raise _over_budget(max_nodes, 0)
         if not free:
             vs = admissible(vs, ap, pre)
-        if len(vs) >= max_nodes:
-            raise _over_budget(max_nodes, 1)
+        if 1 + len(vs) > max_nodes:  # the root, or one of its leaves
+            raise _over_budget(max_nodes, 1 if max_nodes else 0)
         return SolutionSet(tuple((v,) for v in vs), 1 + len(vs), False)
     sols = []
     node_count = 0
@@ -292,16 +291,13 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
         for m in above if free else admissible(above, ap, pre):
             # entered before it counts, as in the walk, so the table cap trips first
             _, vs, table = _enter(gens, ap, m)
-            node_count += 1
-            if node_count > max_nodes:
-                raise _over_budget(max_nodes, g - 1)
             if not free:
                 vs = admissible(vs, table, pre)
             if m != n1:
                 ap[m % n1] = m
-            node_count += len(vs)
-            if node_count > max_nodes:
-                raise _over_budget(max_nodes, g)
+            node_count += 1 + len(vs)
+            if node_count > max_nodes:  # S \ {m}, or one of its leaves
+                raise _over_budget(max_nodes, g - 1 if node_count - len(vs) > max_nodes else g)
             for v in vs:  # a plain loop: vs is short, and a comprehension is a call
                 sols.append(base + (m, v))
     return SolutionSet(tuple(sols), node_count, False)

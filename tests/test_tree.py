@@ -335,6 +335,26 @@ class TestSolve:
             for k in range(want.node_count):
                 assert_refused(inst, k, depths[k])
 
+    @pytest.mark.parametrize(
+        "inst, nodes",
+        [
+            (ProblemInstance(a=(1,), b=(5,), x={20}, g=10), 196),
+            (ProblemInstance(a=(1, 3), b=(7, 2), x={24}, g=9, r=1), 301),
+            (ProblemInstance(g=9, r=2), 809),
+            (ProblemInstance(a=(2,), b=(1,), x={13}, g=1, r=6), 7),
+        ],
+    )
+    def test_every_budget_trips_on_the_next_vertex_in_preorder(self, inst, nodes):
+        # deeper and wider trees than the sweeps above: every budget below
+        # the node count trips at the depth ``children`` puts that vertex at
+        depths = preorder_depths(inst, inst.g)
+        assert len(depths) == nodes
+        for k in range(nodes):
+            assert_refused(inst, k, depths[k])
+        result = solve(inst, max_nodes=nodes)
+        assert result == solve(inst)
+        assert (result.node_count, len(result.solutions)) == (nodes, depths.count(inst.g))
+
     def test_free_tree_counts_are_a007323(self):
         # numerical semigroups of genus 0..22 (OEIS A007323); the tree down
         # to depth g holds every semigroup of genus <= g
