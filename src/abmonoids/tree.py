@@ -22,28 +22,32 @@ ascending lists each depth in lexicographic order of those gaps: the
 breadth-first order.  Parents and solutions are read off the path:
 each removed generator is the Frobenius number of the vertex it leads to.
 
-One depth-first kernel, ``_walk``, serves ``solve``, ``enumerate_levels``
-and ``export_tree``.  It keeps a single Apéry table and edits it in
-place: ``_enter``, the one statement of the child rule, turns S's table
-into that of S \\ {m} by moving one entry (only the ray {0, n1, ->} gets
-a fresh table for its child), and the walk puts the entry back on the
-way up.  It holds the path of removed generators and at most one frame
-per depth (a vertex's generators, its table and an iterator over its
-admissible generators; none for a vertex without one), and yields bare
-``(generators, above, table, path)``, ``above`` being the generators
-above the Frobenius number; callers build a ``NumericalSemigroup`` only
-for the vertices they keep (the Apéry update of Bras-Amorós's
-generator-removal tree, walked with the explicit stack of Fromentin and
-Hivert).  Most vertices sit in the last two levels, so ``solve`` walks
-only to depth g - 2 and reads those levels off each vertex S there: for
-each admissible generator m of S, ``_enter`` gives the generators above m
-of S \\ {m} and its table, which tell which v complete the solution
-``path + (m, v)``.
+One depth-first kernel, ``_walk``, serves ``solve``,
+``enumerate_levels`` and ``export_tree``: a plain loop that counts each
+vertex once and hands it to ``visit`` or, for ``solve``, reads the last
+two levels off it.  It keeps a single Apéry table and edits it in place:
+``_enter``, the one statement of the child rule, turns S's table into
+that of S \\ {m} by moving one entry (only the ray {0, n1, ->} gets a
+fresh table for its child), and the walk puts the entry back on the way
+up.  It holds the path of removed generators and at most one frame per
+depth (a vertex's generators, its table, its admissible generators and
+the place of the child being walked; none for a vertex without one);
+callers build a ``NumericalSemigroup`` only for the vertices they keep
+(the Apéry update of Bras-Amorós's generator-removal tree, walked with
+the explicit stack of Fromentin and Hivert).  A child inherits its
+parent's admissible generators after m, and ``_inherit`` tests only the
+few that removing m can free, so ``admissible`` runs afresh only at the
+root and at the rays.  Most vertices sit in the last two levels, so
+``solve`` walks only to depth g - 2 and reads those levels off each
+vertex S there: for each admissible generator m of S, ``_enter`` and
+``_inherit`` give the admissible generators v of S \\ {m}, each
+completing the solution ``path + (m, v)``.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, NamedTuple, Sequence
+from bisect import insort
+from typing import Callable, NamedTuple, Sequence
 
 from .closure import ProblemInstance
 from .errors import ResourceLimitError
@@ -74,15 +78,21 @@ class Preimages(dict):
     once per table; a table serves one walk.  ``free`` records an instance
     with no maps and no seeds, whose every entry would be empty; ``_walk``
     and ``solve`` read it to keep every generator without a lookup.
+    ``units`` holds the distinct offsets b_i of the maps with a_i = 1,
+    ascending, and ``window`` the smallest of them (None without one): of
+    the generators above a Frobenius number f only the first ``window``
+    can be kept, since each later one m has m - b_i > f, a positive member.
     """
 
-    __slots__ = ("maps", "x", "free")
+    __slots__ = ("maps", "x", "free", "units", "window")
 
     def __init__(self, inst: ProblemInstance):
         super().__init__()
         self.maps = tuple(zip(inst.a, inst.b))
         self.x = inst.x
         self.free = not (self.maps or self.x)
+        self.units = tuple(sorted({b for a, b in self.maps if a == 1}))
+        self.window = self.units[0] if self.units else None
 
     def __missing__(self, m: int) -> tuple[int, ...]:
         if m in self.x:
@@ -100,8 +110,12 @@ def admissible(above: Sequence[int], ap: Sequence[int], pre: Preimages) -> list[
     the semigroup whose Apéry table is ``ap``: its members are the x with
     ``x >= ap[x % len(ap)]``.  Removing m leaves every member but m, and m
     is no preimage of itself, so a generator is kept when no entry of
-    ``pre`` for it is a member of this semigroup.  ``_walk`` and ``solve``
-    skip the call for a free instance, whose generators are all kept.
+    ``pre`` for it is a member of this semigroup.  ``children`` hands it
+    every generator above the Frobenius number; the walk and ``solve`` call
+    it only at the root and at each ray {0, k, ->} reached by removing the
+    multiplicity, on the first ``pre.window`` generators, since every other
+    vertex inherits its list (``_inherit``), and skip it for a free
+    instance, whose generators are all kept.
     """
     n1 = len(ap)
     out = []
@@ -176,60 +190,131 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
     return NumericalSemigroup(gens[:j] + above, tuple(ap))
 
 
-def _walk(
-    inst: ProblemInstance, pre: Preimages, depth_limit: int, *, max_nodes: int
-) -> Iterator[tuple[tuple[int, ...], tuple[int, ...], list[int], list[int]]]:
-    """The vertices of the tree down to depth_limit in preorder, as
-    ``(generators, above, apery, path)``, where ``above`` is the tail of
-    the generators above the Frobenius number and ``path`` lists the
-    generators removed on the way from the root: the vertex's gaps above
-    r, ascending, so its depth is ``len(path)``.
+def _inherit(
+    rest: list[int], m: int, above: tuple[int, ...], table: list[int], pre: Preimages
+) -> list[int]:
+    """The admissible generators of the child S \\ {m}, ascending, given
+    ``rest``, S's admissible generators after m, and the child's generators
+    ``above`` its Frobenius number m and its ``table`` from ``_enter``.
 
-    ``apery`` and ``path`` are the walk's live lists: they are valid until
-    the next vertex is asked for, so a caller that keeps one must copy it.
-    ``pre`` is the instance's preimage table, shared with the caller.
-    Raises ResourceLimitError on vertex max_nodes + 1, since a partial
-    enumeration cannot certify a complete answer.
+    Removing the multiplicity of S leaves a ray with a fresh table, whose
+    generators ``admissible`` tests afresh.  Otherwise every generator in
+    ``rest`` stays admissible, since S \\ {m} is inside S, and a generator
+    S blocked is freed only when m was its member preimage: a*m + b for a
+    map (a, b).  With a >= 2 that is at least 2m + 1 > m + n1, above every
+    generator of S \\ {m}; with a = 1 and b < n1 it is m + b, blocked by m
+    in S and so not in ``rest``; b = n1 gives m + n1 itself.  So only those
+    m + b in ``above`` and the new generator m + n1 are tested, and ``rest``
+    is extended in place.
+    """
+    n1 = len(table)
+    if n1 > m:  # the ray {0, m+1, ->}, whose table has m + 1 entries
+        return admissible(above[:pre.window], table, pre)
+    for b in pre.units:
+        if b >= n1:
+            break
+        v = m + b
+        if v in above:
+            for p in pre[v]:
+                if p >= table[p % n1]:
+                    break
+            else:
+                insort(rest, v)
+    c = m + n1
+    if above and above[-1] == c:
+        for p in pre[c]:
+            if p >= table[p % n1]:
+                break
+        else:
+            rest.append(c)
+    return rest
+
+
+def _walk(
+    inst: ProblemInstance,
+    pre: Preimages,
+    depth_limit: int,
+    *,
+    max_nodes: int,
+    visit: Callable[[tuple[int, ...], Sequence[int], list[int], list[int]], None] | None = None,
+    sols: list[tuple[int, ...]] | None = None,
+) -> int:
+    """Walk the tree down to depth_limit in preorder and return the number
+    of vertices counted.
+
+    ``visit(generators, kept, apery, path)`` is called on each vertex:
+    ``kept`` lists its admissible generators and ``path`` the generators
+    removed on the way from the root, its gaps above r ascending, so its
+    depth is ``len(path)``.  ``apery`` and ``path`` are the walk's live
+    lists, valid only during the call.  With ``sols``, the last two levels
+    are read off each vertex S at depth_limit instead: for each admissible
+    generator m of S, ``_enter`` gives S \\ {m} and ``_inherit`` its leaves
+    v, listed as ``path + (m, v)``, and S's entry is put back.  S \\ {m}
+    counts together with its leaves, after its elder siblings' leaves, so
+    one check finds vertex max_nodes + 1 in preorder, at depth_limit + 1
+    when S \\ {m} itself is past the budget and at depth_limit + 2
+    otherwise.  ``pre`` is the instance's preimage table, shared with the
+    caller.  Raises ResourceLimitError on vertex max_nodes + 1, since a
+    partial enumeration cannot certify a complete answer.
     """
     _check_count("depth_limit", depth_limit)
     _check_count("max_nodes", max_nodes)
-    # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
-    root = ray(inst.r + 1)
-    gens, ap = root.min_generators, list(root.apery)
-    above = gens
-    path: list[int] = []
-    # (generators, table, iterator over the admissible generators) per vertex
-    # on the path with one; path[-1] names the child below the top frame
-    frames: list[tuple] = []
     free = pre.free
+    # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
+    gens, ap = ray(inst.r + 1)
+    ap = list(ap)
+    kept = gens if free else admissible(gens[:pre.window], ap, pre)
+    path: list[int] = []
+    # [generators, table, admissible generators, place of the child walked]
+    # per vertex on the path with one; path[-1] names that child
+    frames: list[list] = []
     count = 0
     while True:
         count += 1
         if count > max_nodes:
             raise _over_budget(max_nodes, len(path))
-        yield gens, above, ap, path
+        if visit is not None:
+            visit(gens, kept, ap, path)
         if len(path) < depth_limit:
-            ms = above if free else admissible(above, ap, pre)
-            if ms:
-                frames.append((gens, ap, iter(ms)))
+            if kept:
+                frames.append([gens, ap, kept, -1])
                 path.append(0)  # restoring "child 0" rewrites ap[0] = 0, a no-op
+        elif sols is not None:
+            n1 = gens[0]
+            base = tuple(path)
+            for i, m in enumerate(kept):
+                # entered before it counts, as in the walk, so the table cap trips first
+                _, vs, table = _enter(gens, ap, m)
+                if not free:
+                    vs = _inherit(kept[i + 1:], m, vs, table, pre)
+                if m != n1:
+                    ap[m % n1] = m
+                count += 1 + len(vs)
+                if count > max_nodes:  # S \ {m}, or one of its leaves
+                    below = 1 if count - len(vs) > max_nodes else 2
+                    raise _over_budget(max_nodes, depth_limit + below)
+                for v in vs:  # a plain loop: vs is short, and a comprehension is a call
+                    sols.append(base + (m, v))
         while frames:  # undo the last removal below the top frame, then take the next
-            gens, ap, ms = frames[-1]
+            frame = frames[-1]
+            gens, ap, kept, i = frame
             n1 = gens[0]
             m = path[-1]
             if m != n1:
                 ap[m % n1] = m
-            m = next(ms, 0)
-            if not m:
+            i += 1
+            if i == len(kept):
                 frames.pop()
                 path.pop()
                 continue
-            path[-1] = m
+            frame[3] = i
+            m = path[-1] = kept[i]
             j, above, ap = _enter(gens, ap, m)
             gens = gens[:j] + above
+            kept = above if free else _inherit(kept[i + 1:], m, above, ap, pre)
             break
         else:
-            return
+            return count
 
 
 def enumerate_levels(
@@ -240,10 +325,13 @@ def enumerate_levels(
     Ends early at the last non-empty depth when the tree is exhausted.
     """
     levels: list[list[NumericalSemigroup]] = []
-    for gens, _, ap, path in _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes):
+
+    def visit(gens, _, ap, path):
         if len(path) == len(levels):  # preorder reaches depth k after depth k - 1
             levels.append([])
         levels[len(path)].append(NumericalSemigroup(gens, tuple(ap)))
+
+    _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes, visit=visit)
     return levels
 
 
@@ -251,16 +339,10 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
     """All solutions of the instance, read off the paths to the depth-g vertices:
     the generators removed on a path are its leaf's gaps above r.
 
-    The walk stops at depth g - 2, and S \\ {m} for each admissible
-    generator m of a vertex S there is read off S, not walked into:
-    ``_enter`` gives its generators above m and its table, and S's entry
-    is put back after their ``admissible`` test.  Each generator v that
-    test keeps is a leaf, listed as ``path + (m, v)``.
-    At g = 1 the root's leaves are read off it.  S \\ {m} counts together
-    with its leaves, after its elder siblings' leaves, so one check finds
-    vertex max_nodes + 1 in preorder, at depth g - 1 when S \\ {m} itself
-    is past the budget and at depth g otherwise, and raises the same
-    ResourceLimitError as ``_walk``.
+    The walk stops at depth g - 2 and reads the last two levels off each
+    vertex there, so the depth-(g - 1) and depth-g vertices are counted
+    but never walked into.  At g = 1 the root's leaves are read off it,
+    counted and refused by the same rule.
     """
     _check_count("max_nodes", max_nodes)
     g = inst.g
@@ -269,37 +351,15 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
             raise _over_budget(max_nodes, 0)
         return SolutionSet(((),), 1, False)
     pre = Preimages(inst)
-    free = pre.free
     if g == 1:  # the root is the depth-(g - 1) vertex
         vs, ap = ray(inst.r + 1)
-        if not free:
-            vs = admissible(vs, ap, pre)
+        if not pre.free:
+            vs = admissible(vs[:pre.window], ap, pre)
         if 1 + len(vs) > max_nodes:  # the root, or one of its leaves
             raise _over_budget(max_nodes, 1 if max_nodes else 0)
         return SolutionSet(tuple((v,) for v in vs), 1 + len(vs), False)
-    sols = []
-    node_count = 0
-    last = g - 2
-    for gens, above, ap, path in _walk(inst, pre, last, max_nodes=max_nodes):
-        node_count += 1
-        if node_count > max_nodes:
-            raise _over_budget(max_nodes, len(path))
-        if len(path) < last:
-            continue
-        n1 = gens[0]
-        base = tuple(path)
-        for m in above if free else admissible(above, ap, pre):
-            # entered before it counts, as in the walk, so the table cap trips first
-            _, vs, table = _enter(gens, ap, m)
-            if not free:
-                vs = admissible(vs, table, pre)
-            if m != n1:
-                ap[m % n1] = m
-            node_count += 1 + len(vs)
-            if node_count > max_nodes:  # S \ {m}, or one of its leaves
-                raise _over_budget(max_nodes, g - 1 if node_count - len(vs) > max_nodes else g)
-            for v in vs:  # a plain loop: vs is short, and a comprehension is a call
-                sols.append(base + (m, v))
+    sols: list[tuple[int, ...]] = []
+    node_count = _walk(inst, pre, g - 2, max_nodes=max_nodes, sols=sols)
     return SolutionSet(tuple(sols), node_count, False)
 
 
@@ -313,10 +373,13 @@ def export_tree(
     child.  The text is byte-stable for identical inputs.
     """
     labels, tails = [], []
-    for gens, _, _, path in _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes):
+
+    def visit(gens, _, __, path):
         depth = len(path)
         labels[depth:] = ['"<' + ",".join(map(str, gens)) + '>"']
         tails.append((depth, labels[-2:]))  # [parent, vertex], or [root] alone
+
+    _walk(inst, Preimages(inst), depth_limit, max_nodes=max_nodes, visit=visit)
     # a stable sort, since preorder within one depth is breadth-first order
     tails.sort(key=lambda t: t[0])
     lines = ["digraph variety {"]

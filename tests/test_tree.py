@@ -491,18 +491,56 @@ def test_walk_matches_breadth_first_reference():
             assert lines == ["digraph variety {", *nodes, *edges, "}"], inst
 
 
-def test_walk_yields_each_vertex_with_its_table_path_and_generators_above_f():
-    # the walk builds no semigroup value: each vertex it yields must be the
+def _unit_map_instances(count: int, seed: int = 7) -> list[ProblemInstance]:
+    """Random instances with two maps of multiplier 1, seeds and r > 0: the
+    maps whose images m + b can be freed when m is removed."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        inst = random_instance(rng, max_r=4, max_g=8, max_x_value=30, max_coeff=7)
+        if inst.r and inst.x:
+            units = (rng.randint(1, 7), rng.randint(1, 7))
+            out.append(inst._replace(a=(1, 1) + inst.a, b=units + inst.b))
+    return out
+
+
+def test_walk_visits_each_vertex_with_its_table_path_and_admissible_generators():
+    # the walk builds no semigroup value: each vertex it visits must be the
     # one from_generators builds from its generators, table included, its
-    # path the gaps above r and ``above`` the generators above f, a tail
-    # since the generators ascend
-    for inst in [WORKED, SCALED, SCALED_FLOOR, *instance_corpus(200)]:
-        walk = _walk(inst, Preimages(inst), inst.g + 2, max_nodes=10**6)
-        for gens, above, ap, path in walk:
+    # path the gaps above r, and the admissible generators it hands down
+    # (inherited from the parent below the root and the rays) those of the
+    # divide-and-modulo reference
+    for inst in [WORKED, SCALED, SCALED_FLOOR, *instance_corpus(200), *_unit_map_instances(60)]:
+        visited = []
+
+        def visit(gens, kept, ap, path):
             s = from_generators(gens)
             assert s == (gens, tuple(ap)), (inst, gens)
             assert tuple(path) == gaps_above(s, inst.r), (inst, gens)
-            assert above == tuple(m for m in gens if m > s.frobenius), (inst, gens)
+            assert list(kept) == reference_admissible(s, inst), (inst, gens)
+            visited.append(gens)
+
+        count = _walk(inst, Preimages(inst), inst.g + 2, max_nodes=10**6, visit=visit)
+        assert count == len(visited) == sum(map(len, bfs_levels(inst, inst.g + 2))), inst
+
+
+def test_unit_map_window_tests_one_generator_per_ray(monkeypatch):
+    # a=(1,), b=(1,) with no seeds: the tree is the path of rays {0, k, ->},
+    # each with k generators above its Frobenius number, of which only k can
+    # be kept (k + t has the member preimage k + t - 1), so admissible is
+    # handed the first one alone; handing it all of them costs about g^2 / 2
+    tree_module = importlib.import_module("abmonoids.tree")
+    handed = []
+
+    def counted(above, ap, pre, _fn=tree_module.admissible):
+        handed.append(len(above))
+        return _fn(above, ap, pre)
+
+    monkeypatch.setattr(tree_module, "admissible", counted)
+    g = 2000
+    want = SolutionSet((tuple(range(1, g + 1)),), g + 1, False)
+    assert solve(ProblemInstance(a=(1,), b=(1,), g=g)) == want
+    assert sum(handed) <= 2 * (g + 1)
 
 
 def test_solutions_read_off_the_path_are_the_gaps_above_r():
