@@ -184,8 +184,9 @@ def _worklist_closure(a, b, seed) -> NumericalSemigroup:
 def ray(m: int) -> NumericalSemigroup:
     """{0, m, m+1, ...} in O(m): generators m..2m-1, Apéry set (0, m+1, ..., 2m-1)."""
     ap = apery_table(m)
-    ap[1:] = range(m + 1, 2 * m)
-    return NumericalSemigroup(tuple(range(m, 2 * m)), tuple(ap))
+    gens = tuple(range(m, 2 * m))
+    ap[1:] = gens[1:]  # the generators' int objects, not a second copy
+    return NumericalSemigroup(gens, tuple(ap))
 
 
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:

@@ -9,9 +9,8 @@ admissible.  Removal of m is admissible iff m is not a seed value and no
 coordinate has (m - b_i) / a_i equal to a positive member of S, since
 that member's affine image would then be lost.  A per-run ``Preimages``
 table holds each tested value's integer preimages, worked out on first
-use, and maps a seed value to 0, which is always a member, so
-``admissible`` tests each generator above the Frobenius number with one
-lookup and a membership test per preimage.
+use, and maps a seed value to 0, which is always a member, so a
+generator is tested with one lookup and a membership test per preimage.
 
 Each removal adds exactly one gap, so the vertices at depth k are
 exactly the admissible semigroups with r + k gaps, and the solutions of
@@ -30,15 +29,16 @@ two levels off it.  It keeps a single Apéry table and edits it in place:
 that of S \\ {m} by moving one entry (only the ray {0, n1, ->} gets a
 fresh table for its child), and the walk puts the entry back on the way
 up.  It holds the path of removed generators and at most one frame per
-depth (a vertex's generators, its table, its admissible generators and
-the place of the child being walked; none for a vertex without one);
-callers build a ``NumericalSemigroup`` only for the vertices they keep
-(the Apéry update of Bras-Amorós's generator-removal tree, walked with
-the explicit stack of Fromentin and Hivert).  A child inherits its
-parent's admissible generators after m, and ``_inherit`` tests only the
-few that removing m can free, so ``admissible`` runs afresh only at the
-root and at the rays.  Most vertices sit in the last two levels, so
-``solve`` walks only to depth g - 2 and reads those levels off each
+depth, for each vertex on the path with an admissible generator (see
+``_walk``); callers build a ``NumericalSemigroup`` only for the vertices
+they keep (the Apéry update of Bras-Amorós's generator-removal tree,
+walked with the explicit stack of Fromentin and Hivert).  A child
+inherits its parent's admissible generators after m, and ``_inherit``
+tests only the few that removing m can free.  A ray {0, k, ->} needs no
+test: ``_ray_kept`` writes its admissible generators down, so a ray
+holds only k while its ray child is walked, and a spine of rays costs
+memory linear in its depth.  Most vertices sit in the last two levels,
+so ``solve`` walks only to depth g - 2 and reads those levels off each
 vertex S there: for each admissible generator m of S, ``_enter`` and
 ``_inherit`` give the admissible generators v of S \\ {m}, each
 completing the solution ``path + (m, v)``.
@@ -77,11 +77,10 @@ class Preimages(dict):
     membership test covers both rules.  Each distinct value is worked out
     once per table; a table serves one walk.  ``free`` records an instance
     with no maps and no seeds, whose every entry would be empty; ``_walk``
-    and ``solve`` read it to keep every generator without a lookup.
-    ``units`` holds the distinct offsets b_i of the maps with a_i = 1,
-    ascending, and ``window`` the smallest of them (None without one): of
-    the generators above a Frobenius number f only the first ``window``
-    can be kept, since each later one m has m - b_i > f, a positive member.
+    reads it to keep every generator without a lookup.  ``units`` holds
+    the distinct offsets b_i of the maps with a_i = 1, ascending, which
+    ``_inherit`` tests, and ``window`` the smallest of them (None without
+    one), which bounds a ray's admissible generators (``_ray_kept``).
     """
 
     __slots__ = ("maps", "x", "free", "units", "window")
@@ -103,36 +102,25 @@ class Preimages(dict):
         return out
 
 
-def admissible(above: Sequence[int], ap: Sequence[int], pre: Preimages) -> list[int]:
-    """The generators in ``above`` whose removal is admissible, ascending.
+def _ray_kept(k: int, pre: Preimages) -> list[int]:
+    """The admissible generators of the ray {0, k, ->}, ascending, in closed
+    form: those in [k, k + min(k, u)) that are not seed values, with u the
+    smallest offset of a map with multiplier 1 (u = k without one).
 
-    ``above`` holds the minimal generators above the Frobenius number of
-    the semigroup whose Apéry table is ``ap``: its members are the x with
-    ``x >= ap[x % len(ap)]``.  Removing m leaves every member but m, and m
-    is no preimage of itself, so a generator is kept when no entry of
-    ``pre`` for it is a member of this semigroup.  ``children`` hands it
-    every generator above the Frobenius number; the walk and ``solve`` call
-    it only at the root and at each ray {0, k, ->} reached by removing the
-    multiplicity, on the first ``pre.window`` generators, since every other
-    vertex inherits its list (``_inherit``), and skip it for a free
-    instance, whose generators are all kept.
+    The ray's minimal generators are k..2k - 1, and its positive members
+    the values >= k.  A generator m has the preimage (m - b) / a under a
+    map (a, b): with a >= 2 it is at most (2k - 2) / 2 < k, a gap, and with
+    a = 1 it is m - b, a member exactly when m >= k + b.  So a non-seed m is
+    kept exactly when m < k + u.
     """
-    n1 = len(ap)
-    out = []
-    for m in above:
-        for p in pre[m]:
-            if p >= ap[p % n1]:  # a seed value, or a positive member preimage
-                break
-        else:
-            out.append(m)
-    return out
+    return [m for m in range(k, k + min(k, pre.window or k)) if m not in pre.x]
 
 
 def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemigroup]:
     """Admissible single-generator removals, ascending by removed generator."""
-    f = s.frobenius
-    above = [m for m in s.min_generators if m > f]
-    return [remove_generator(s, m) for m in admissible(above, s.apery, Preimages(inst))]
+    f, pre = s.frobenius, Preimages(inst)
+    kept = [m for m in s.min_generators if m > f and not any(p in s for p in pre[m])]
+    return [remove_generator(s, m) for m in kept]
 
 
 def _over_budget(max_nodes: int, depth: int) -> ResourceLimitError:
@@ -198,7 +186,7 @@ def _inherit(
     ``above`` its Frobenius number m and its ``table`` from ``_enter``.
 
     Removing the multiplicity of S leaves a ray with a fresh table, whose
-    generators ``admissible`` tests afresh.  Otherwise every generator in
+    admissible generators ``_ray_kept`` writes down.  Otherwise every generator in
     ``rest`` stays admissible, since S \\ {m} is inside S, and a generator
     S blocked is freed only when m was its member preimage: a*m + b for a
     map (a, b).  With a >= 2 that is at least 2m + 1 > m + n1, above every
@@ -209,7 +197,7 @@ def _inherit(
     """
     n1 = len(table)
     if n1 > m:  # the ray {0, m+1, ->}, whose table has m + 1 entries
-        return admissible(above[:pre.window], table, pre)
+        return _ray_kept(n1, pre)
     for b in pre.units:
         if b >= n1:
             break
@@ -242,6 +230,12 @@ def _walk(
     """Walk the tree down to depth_limit in preorder and return the number
     of vertices counted.
 
+    A frame ``[generators, table, admissible generators, place of the child
+    walked]`` is kept for each vertex on the path with an admissible
+    generator.  A ray {0, n1, ->} walking its ray child, which has a fresh
+    table, keeps only ``[(n1,), None, None, 0]`` and rebuilds the rest on
+    the way back, so a spine of rays holds O(1) per depth.
+
     ``visit(generators, kept, apery, path)`` is called on each vertex:
     ``kept`` lists its admissible generators and ``path`` the generators
     removed on the way from the root, its gaps above r ascending, so its
@@ -263,11 +257,9 @@ def _walk(
     # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
     gens, ap = ray(inst.r + 1)
     ap = list(ap)
-    kept = gens if free else admissible(gens[:pre.window], ap, pre)
+    kept = _ray_kept(inst.r + 1, pre)
     path: list[int] = []
-    # [generators, table, admissible generators, place of the child walked]
-    # per vertex on the path with one; path[-1] names that child
-    frames: list[list] = []
+    frames: list[list] = []  # path[-1] names the top frame's child walked
     count = 0
     while True:
         count += 1
@@ -302,6 +294,11 @@ def _walk(
             m = path[-1]
             if m != n1:
                 ap[m % n1] = m
+            elif ap is None:  # a ray back from its ray child: rebuild what it dropped
+                gens, ap = ray(n1)
+                ap = list(ap)
+                kept = _ray_kept(n1, pre)
+                frame[:3] = gens, ap, kept
             i += 1
             if i == len(kept):
                 frames.pop()
@@ -310,6 +307,8 @@ def _walk(
             frame[3] = i
             m = path[-1] = kept[i]
             j, above, ap = _enter(gens, ap, m)
+            if not j:  # a ray's ray child, with a fresh table: the ray holds only n1
+                frame[:3] = gens[:1], None, None
             gens = gens[:j] + above
             kept = above if free else _inherit(kept[i + 1:], m, above, ap, pre)
             break
@@ -352,9 +351,8 @@ def solve(inst: ProblemInstance, *, max_nodes: int = DEFAULT_NODE_BUDGET) -> Sol
         return SolutionSet(((),), 1, False)
     pre = Preimages(inst)
     if g == 1:  # the root is the depth-(g - 1) vertex
-        vs, ap = ray(inst.r + 1)
-        if not pre.free:
-            vs = admissible(vs[:pre.window], ap, pre)
+        ray(inst.r + 1)  # built only to refuse a root over the table cap, as the walk does
+        vs = _ray_kept(inst.r + 1, pre)
         if 1 + len(vs) > max_nodes:  # the root, or one of its leaves
             raise _over_budget(max_nodes, 1 if max_nodes else 0)
         return SolutionSet(tuple((v,) for v in vs), 1 + len(vs), False)

@@ -22,7 +22,7 @@ from abmonoids import (
     solve,
 )
 from abmonoids.semigroup import MAX_TABLE_SIZE, ray
-from abmonoids.tree import Preimages, _enter, _walk, admissible, children, remove_generator
+from abmonoids.tree import Preimages, _enter, _ray_kept, _walk, children, remove_generator
 
 from conftest import (
     A007323,
@@ -34,6 +34,7 @@ from conftest import (
     intersect,
     random_instance,
     reference_admissible,
+    reference_children,
 )
 
 WORKED = ProblemInstance(a=(1, 2), b=(4, 1), x={5}, g=6, r=0)
@@ -524,23 +525,34 @@ def test_walk_visits_each_vertex_with_its_table_path_and_admissible_generators()
         assert count == len(visited) == sum(map(len, bfs_levels(inst, inst.g + 2))), inst
 
 
-def test_unit_map_window_tests_one_generator_per_ray(monkeypatch):
+def test_unit_map_spine_looks_up_few_preimages(monkeypatch):
     # a=(1,), b=(1,) with no seeds: the tree is the path of rays {0, k, ->},
     # each with k generators above its Frobenius number, of which only k can
-    # be kept (k + t has the member preimage k + t - 1), so admissible is
-    # handed the first one alone; handing it all of them costs about g^2 / 2
-    tree_module = importlib.import_module("abmonoids.tree")
-    handed = []
+    # be kept (k + t has the member preimage k + t - 1); the closed form
+    # reads that off k, so the run fills its preimage table with at most a
+    # couple of entries per ray, where testing every generator would fill
+    # about g^2 / 2
+    tables = []
 
-    def counted(above, ap, pre, _fn=tree_module.admissible):
-        handed.append(len(above))
-        return _fn(above, ap, pre)
+    class Recording(Preimages):
+        def __init__(self, inst):
+            super().__init__(inst)
+            tables.append(self)
 
-    monkeypatch.setattr(tree_module, "admissible", counted)
+    monkeypatch.setattr(importlib.import_module("abmonoids.tree"), "Preimages", Recording)
     g = 2000
     want = SolutionSet((tuple(range(1, g + 1)),), g + 1, False)
     assert solve(ProblemInstance(a=(1,), b=(1,), g=g)) == want
-    assert sum(handed) <= 2 * (g + 1)
+    assert len(tables) == 1 and len(tables[0]) <= 2 * (g + 1)
+
+
+def test_ray_closed_form_matches_the_reference():
+    # every ray {0, k, ->} holding X, k from r + 1 to min X (or r + 40):
+    # its admissible generators by closed form are the reference's
+    for inst in [*instance_corpus(200), *_unit_map_instances(60)]:
+        pre = Preimages(inst)
+        for k in range(inst.r + 1, min(inst.x, default=inst.r + 40) + 1):
+            assert _ray_kept(k, pre) == reference_admissible(ray(k), inst), (inst, k)
 
 
 def test_solutions_read_off_the_path_are_the_gaps_above_r():
@@ -596,6 +608,33 @@ def test_deep_refusal_holds_one_frame_per_depth():
         tracemalloc.stop()
     assert got == ("tree enumeration exceeded 1000 nodes at depth 1000", 1001, 1000)
     assert peak < 100 * 2**20
+
+
+@pytest.mark.parametrize(
+    "inst, nodes, want",
+    [
+        (ProblemInstance(g=100000), 800, (801, 800)),
+        (ProblemInstance(a=(2,), b=(1,), g=100000), 800, (801, 800)),
+        (ProblemInstance(a=(1,), b=(1,), g=800), 10**6, 801),
+    ],
+)
+def test_spine_of_rays_holds_memory_linear_in_its_depth(inst, nodes, want):
+    # the first path runs down the spine {0, k, ->} to depth 800, refused on
+    # its budget or reaching the one solution; each ray on the path drops its
+    # k generators, its table and its admissible list while its ray child is
+    # walked, so the peak stays under 1 KB per level.  Holding them, the
+    # tracemalloc peak was 24-27 MB (CPython 3.11)
+    tracemalloc.start()
+    try:
+        try:
+            got = solve(inst, max_nodes=nodes).node_count
+        except ResourceLimitError as exc:
+            got = (exc.node_count, exc.depth)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak <= 800 * 1024, peak
 
 
 def test_deep_walk_refuses_without_recursion():
@@ -771,20 +810,21 @@ def test_preimage_table_entries():
         assert sorted(table) == list(range(1, 3 * (inst.r + inst.g) + 2))
 
 
-def test_shared_table_matches_a_fresh_one_on_each_built_child():
-    # admissible() tests a vertex against its own table, drawing on a
-    # preimage table the walk shares across the run; on every child built
-    # by remove_generator, admissible or not, it must agree with a fresh
-    # table and with the divide-and-modulo rule
+def test_children_match_the_reference_on_each_built_child():
+    # on every child built by remove_generator, admissible or not, children
+    # must keep the generators of the divide-and-modulo rule, and on each
+    # admissible one, a vertex, list the vertices the saturation reference
+    # builds
     for inst in instance_corpus(200):
-        table = Preimages(inst)  # one per instance, filled as the walk would
         for level in bfs_levels(inst, inst.g + 2):
             for _, s in level:
+                kept = reference_admissible(s, inst)
                 for m in above_frobenius(s):
                     t = remove_generator(s, m)
-                    want = admissible(above_frobenius(t), t.apery, Preimages(inst))
-                    assert want == reference_admissible(t, inst), (inst, s, m)
-                    assert admissible(above_frobenius(t), t.apery, table) == want, (inst, s, m)
+                    got = children(t, inst)
+                    assert [c.frobenius for c in got] == reference_admissible(t, inst), (inst, s, m)
+                    if m in kept:
+                        assert got == reference_children(t, inst), (inst, s, m)
 
 
 class TestPruningEdgeCases:
@@ -793,11 +833,12 @@ class TestPruningEdgeCases:
         # member, so any generator with a positive preimage is pruned
         inst = ProblemInstance(a=(1,), b=(1,), g=1)
         table = Preimages(inst)
-        assert admissible((1,), [0], table) == [1]
-        assert admissible((2, 5, 6), [0], table) == []
+        assert _ray_kept(1, table) == [1]
+        # so each ray {0, k, ->} keeps k alone: k + t has the preimage k + t - 1
+        assert [_ray_kept(k, table) for k in (2, 5, 6)] == [[2], [5], [6]]
         assert solve(inst) == SolutionSet(((1,),), 2, False)
         seeded = inst._replace(x={1})
-        assert admissible((1,), [0], Preimages(seeded)) == []
+        assert _ray_kept(1, Preimages(seeded)) == []
         assert solve(seeded) == SolutionSet((), 1, False)
 
     def test_seed_value_is_the_new_generator(self):
@@ -808,21 +849,19 @@ class TestPruningEdgeCases:
         assert above_frobenius(t) == [5, 7]
         table = Preimages(inst)
         assert (table[7], table[5]) == ((0,), (1,))
-        assert admissible(above_frobenius(t), t.apery, table) == [5]
         assert [c.frobenius for c in children(t, inst)] == [5]
-        unseeded = Preimages(inst._replace(x=()))
-        assert admissible(above_frobenius(t), t.apery, unseeded) == [5, 7]
+        assert [c.frobenius for c in children(t, inst._replace(x=()))] == [5, 7]
 
     def test_offset_at_or_above_the_generator_gives_no_preimage(self):
         inst = ProblemInstance(a=(2,), b=(9,))
         table = Preimages(inst)
         assert [table[m] for m in (4, 9, 10, 11)] == [(), (), (), (1,)]
-        s = ray(4)
-        assert admissible(s.min_generators, list(s.apery), table) == [4, 5, 6, 7]
+        assert _ray_kept(4, table) == [4, 5, 6, 7]
+        assert [c.frobenius for c in children(ray(4), inst)] == [4, 5, 6, 7]
 
     def test_constraint_free_table_stores_nothing(self, monkeypatch):
         # no maps and no seeds: the walk and solve keep every generator
-        # above f without calling admissible, so their tables stay empty
+        # above f without a lookup, so their tables stay empty
         tables = []
 
         class Recording(Preimages):
@@ -834,10 +873,9 @@ class TestPruningEdgeCases:
         assert solve(ProblemInstance(g=8)).node_count == 156
         assert len(enumerate_levels(ProblemInstance(r=2), 5)) == 6
         assert len(tables) == 2 and all(t.free and t == {} for t in tables)
-        # a direct call keeps them too, through one empty entry each
+        # the closed form keeps a ray's generators without a lookup too
         table = Preimages(ProblemInstance(g=3))
-        s = ray(4)
-        assert admissible(s.min_generators, list(s.apery), table) == [4, 5, 6, 7]
+        assert _ray_kept(4, table) == [4, 5, 6, 7] and table == {}
         assert not Preimages(ProblemInstance(x={9})).free
         assert not Preimages(ProblemInstance(a=(2,), b=(9,))).free
 
@@ -851,7 +889,7 @@ class TestPruningEdgeCases:
         table = Preimages(inst)
         assert (above_frobenius(t), table[5]) == ([5], (3,))
         assert 3 in s and 3 not in t
-        assert admissible(above_frobenius(t), t.apery, table) == [5]
+        assert [c.frobenius for c in children(t, inst)] == [5]
 
 
 def test_no_table_is_shared_across_instances_or_calls():
@@ -893,21 +931,24 @@ def _count_tree_calls(monkeypatch, names):
 def test_tree_expansion_goes_through_the_module_names(monkeypatch):
     # the walk keeps one Apéry table in place: it never calls children or
     # remove_generator, and builds a fresh table through the module name
-    # ray only for the root and for each removal of the multiplicity, the
-    # spine {0, k, ->} with one vertex per depth
+    # ray only for the root, for each removal of the multiplicity, the
+    # spine {0, k, ->} with one vertex per depth, and for each ray rebuilt
+    # on the way back from its ray child, which it dropped meanwhile
     calls = _count_tree_calls(monkeypatch, ("children", "remove_generator", "ray"))
     inst = ProblemInstance(g=8)
-    # 156 vertices down to genus 8; solve walks to depth 7 and lists the
-    # leaves at depth 8 without entering them, so it meets the spine at
-    # depths 0..7, the other two at depths 0..8
+    # 156 vertices down to genus 8; solve walks to depth 6 and reads the
+    # depth-7 and depth-8 vertices off it, so it meets the spine at depths
+    # 0..7 and rebuilds the 6 rays at depths 0..5: 8 + 6 calls; the other
+    # two walk to depth 8, meet the spine at depths 0..8 and rebuild the 8
+    # rays at depths 0..7: 9 + 8 calls
     assert solve(inst).node_count == 156
-    assert calls == {"ray": 8}
+    assert calls == {"ray": 14}
     calls.clear()
     assert sum(map(len, enumerate_levels(inst, 8))) == 156
-    assert calls == {"ray": 9}
+    assert calls == {"ray": 17}
     calls.clear()
     assert export_tree(inst, 8).count(";") == 156 + 155
-    assert calls == {"ray": 9}
+    assert calls == {"ray": 17}
 
 
 def test_solve_answers_genus_zero_without_building_the_root(monkeypatch):
