@@ -25,23 +25,23 @@ One depth-first kernel, ``_walk``, serves ``solve``,
 ``enumerate_levels`` and ``export_tree``: a plain loop that counts each
 vertex once and hands it to ``visit`` or, for ``solve``, reads the last
 two levels off it.  It keeps a single Apéry table and edits it in place:
-``_enter``, the one statement of the child rule, turns S's table into
-that of S \\ {m} by moving one entry (only the ray {0, n1, ->} gets a
-fresh table for its child), and the walk puts the entry back on the way
-up.  It holds the path of removed generators and at most one frame per
-depth, for each vertex on the path with an admissible generator (see
-``_walk``); callers build a ``NumericalSemigroup`` only for the vertices
-they keep (the Apéry update of Bras-Amorós's generator-removal tree,
-walked with the explicit stack of Fromentin and Hivert).  A child
-inherits its parent's admissible generators after m, and ``_inherit``
-tests only the few that removing m can free.  A ray {0, k, ->} needs no
-test: ``_ray_kept`` writes its admissible generators down, so a ray
-holds only k while its ray child is walked, and a spine of rays costs
-memory linear in its depth.  Most vertices sit in the last two levels,
-so ``solve`` walks only to depth g - 2 and reads those levels off each
-vertex S there: for each admissible generator m of S, ``_enter`` and
-``_inherit`` give the admissible generators v of S \\ {m}, each
-completing the solution ``path + (m, v)``.
+``_enter``, the one child rule, turns S's table into that of S \\ {m} by
+moving one entry (only the ray {0, n1, ->} gets a fresh table for its
+child), and the walk puts the entry back on the way up.  ``_enter`` also
+hands the child its admissible generators: those of S after m, plus the
+few that removing m can free, or every generator above m on an instance
+with no constraints.  It holds the path of removed generators and at most
+one frame per depth, for each vertex on the path with an admissible
+generator (see ``_walk``); callers build a ``NumericalSemigroup`` only for
+the vertices they keep (the Apéry update of Bras-Amorós's
+generator-removal tree, walked with the explicit stack of Fromentin and
+Hivert).  A ray {0, k, ->} needs no test: ``_ray_kept`` writes its
+admissible generators down, so a ray holds only k while its ray child is
+walked, and a spine of rays costs memory linear in its depth.  Most
+vertices sit in the last two levels, so ``solve`` walks only to depth
+g - 2 and reads those levels off each vertex S there: for each admissible
+generator m of S, ``_enter`` gives the admissible generators v of
+S \\ {m}, each completing the solution ``path + (m, v)``.
 """
 
 from __future__ import annotations
@@ -76,14 +76,14 @@ class Preimages(dict):
     the semigroup left, and 0 is a member of every semigroup, so one
     membership test covers both rules.  Each distinct value is worked out
     once per table; a table serves one walk.  ``free`` records an instance
-    with no maps and no seeds, whose every entry would be empty; ``_walk``
+    with no maps and no seeds, whose every entry would be empty; ``_enter``
     reads it to keep every generator without a lookup.  ``units`` holds
-    the distinct offsets b_i of the maps with a_i = 1, ascending, which
-    ``_inherit`` tests, and ``window`` the smallest of them (None without
-    one), which bounds a ray's admissible generators (``_ray_kept``).
+    the distinct offsets b_i of the maps with a_i = 1, ascending: ``_enter``
+    tests their images, and the smallest bounds a ray's admissible
+    generators (``_ray_kept``).
     """
 
-    __slots__ = ("maps", "x", "free", "units", "window")
+    __slots__ = ("maps", "x", "free", "units")
 
     def __init__(self, inst: ProblemInstance):
         super().__init__()
@@ -91,7 +91,6 @@ class Preimages(dict):
         self.x = inst.x
         self.free = not (self.maps or self.x)
         self.units = tuple(sorted({b for a, b in self.maps if a == 1}))
-        self.window = self.units[0] if self.units else None
 
     def __missing__(self, m: int) -> tuple[int, ...]:
         if m in self.x:
@@ -113,7 +112,7 @@ def _ray_kept(k: int, pre: Preimages) -> list[int]:
     a = 1 it is m - b, a member exactly when m >= k + b.  So a non-seed m is
     kept exactly when m < k + u.
     """
-    return [m for m in range(k, k + min(k, pre.window or k)) if m not in pre.x]
+    return [m for m in range(k, k + min((k, *pre.units))) if m not in pre.x]
 
 
 def children(s: NumericalSemigroup, inst: ProblemInstance) -> list[NumericalSemigroup]:
@@ -137,33 +136,72 @@ def _check_count(name: str, value) -> None:
         raise ValueError(f"{name} must be non-negative")
 
 
-def _enter(gens: tuple[int, ...], ap: list[int], m: int) -> tuple[int, tuple[int, ...], list[int]]:
-    """The child S \\ {m} of the vertex S with generators ``gens`` and table
-    ``ap``, for a generator m above S's Frobenius number, as ``(j, above,
-    table)``: its generators are ``gens[:j] + above``, and ``above`` holds
-    those above its Frobenius number m.
+def _enter(
+    gens: tuple[int, ...], ap: list[int], kept: Sequence[int], i: int, pre: Preimages
+) -> tuple[int, tuple[int, ...], list[int], Sequence[int]]:
+    """The child S \\ {m}, m = kept[i], of the vertex S with generators
+    ``gens``, table ``ap`` and admissible generators ``kept`` ascending, as
+    ``(j, above, table, admissible)``: its generators are ``gens[:j] +
+    above``, ``above`` holds those above its Frobenius number m, and
+    ``admissible`` lists its admissible generators, ascending.
 
     Only the ray {0, n1, ->} can lose its multiplicity n1 = gens[0], leaving
-    the fresh ray {0, m+1, ->}, with j = 0.  Otherwise ``ap`` becomes the
-    table, its entry ``ap[m % n1]`` moved from m to m + n1, the smallest
-    member left in m's residue, which the caller puts back; j is m's index,
-    and ``above`` is S's generators after m, plus m + n1 unless m + n1 - n
-    is a member for a generator n between n1 and m.  Every other new minimal
-    generator would be m + t for a member t > n1, a sum n1 + (m + t - n1) of
-    two members left; m + n1 - n is below m, so S's table answers for it,
-    and m + n1 comes last, since every generator n has n - n1 <= frobenius < m.
+    the fresh ray {0, m+1, ->}, with j = 0, whose admissible generators
+    ``_ray_kept`` writes down.  Otherwise ``ap`` becomes the table, its
+    entry ``ap[m % n1]`` moved from m to m + n1, the smallest member left in
+    m's residue, which the caller puts back; j is m's index, and ``above``
+    is S's generators after m, plus m + n1 unless m + n1 - n is a member for
+    a generator n between n1 and m.  Every other new minimal generator would
+    be m + t for a member t > n1, a sum n1 + (m + t - n1) of two members
+    left; m + n1 - n is below m, so S's table answers for it, and m + n1
+    comes last, since every generator n has n - n1 <= frobenius < m.
+
+    With no maps and no seeds, every generator in ``above`` is admissible,
+    the ray's included, and none is looked up.  Otherwise every generator
+    in ``kept[i + 1:]`` stays admissible, since S \\ {m} is inside S, and a
+    generator S blocked is freed only when m was its member preimage:
+    a*m + b for a map (a, b).  With a >= 2 that is at least 2m + 1 > m + n1,
+    above every generator of S \\ {m}; with a = 1 and b < n1 it is m + b,
+    blocked by m in S and so not in ``kept``; b = n1 gives m + n1 itself.
+    So only those m + b in ``above`` and the new generator m + n1 are
+    tested.
     """
-    n1 = gens[0]
+    n1, m = gens[0], kept[i]
     if m == n1:
-        child = ray(m + 1)
-        return 0, child.min_generators, list(child.apery)
+        above, table = ray(m + 1)
+        return 0, above, list(table), above if pre.free else _ray_kept(m + 1, pre)
     j = gens.index(m)
     c = m + n1
     ap[m % n1] = c
+    above = gens[j + 1:]
     for n in gens[1:j]:
         if c - n >= ap[(c - n) % n1]:
-            return j, gens[j + 1:], ap
-    return j, gens[j + 1:] + (c,), ap
+            break
+    else:
+        above += (c,)
+    if pre.free:
+        return j, above, ap, above
+    kept = kept[i + 1:]
+    for b in pre.units:
+        if b >= n1:
+            break
+        v = m + b
+        if v in above:
+            for p in pre[v]:
+                if p >= ap[p % n1]:
+                    break
+            else:
+                insort(kept, v)
+    if above and above[-1] == c:
+        for p in pre[c]:
+            if p >= ap[p % n1]:
+                break
+        else:
+            kept.append(c)
+    return j, above, ap, kept
+
+
+_FREE = Preimages(ProblemInstance())  # no constraints: ``_enter`` never fills it
 
 
 def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
@@ -174,48 +212,8 @@ def remove_generator(s: NumericalSemigroup, m: int) -> NumericalSemigroup:
         raise ValueError(f"{m} is not a minimal generator of {s}")
     if m <= s.frobenius:
         raise ValueError(f"{m} is not above the Frobenius number {s.frobenius}")
-    j, above, ap = _enter(gens, list(s.apery), m)
+    j, above, ap, _ = _enter(gens, list(s.apery), [m], 0, _FREE)
     return NumericalSemigroup(gens[:j] + above, tuple(ap))
-
-
-def _inherit(
-    rest: list[int], m: int, above: tuple[int, ...], table: list[int], pre: Preimages
-) -> list[int]:
-    """The admissible generators of the child S \\ {m}, ascending, given
-    ``rest``, S's admissible generators after m, and the child's generators
-    ``above`` its Frobenius number m and its ``table`` from ``_enter``.
-
-    Removing the multiplicity of S leaves a ray with a fresh table, whose
-    admissible generators ``_ray_kept`` writes down.  Otherwise every generator in
-    ``rest`` stays admissible, since S \\ {m} is inside S, and a generator
-    S blocked is freed only when m was its member preimage: a*m + b for a
-    map (a, b).  With a >= 2 that is at least 2m + 1 > m + n1, above every
-    generator of S \\ {m}; with a = 1 and b < n1 it is m + b, blocked by m
-    in S and so not in ``rest``; b = n1 gives m + n1 itself.  So only those
-    m + b in ``above`` and the new generator m + n1 are tested, and ``rest``
-    is extended in place.
-    """
-    n1 = len(table)
-    if n1 > m:  # the ray {0, m+1, ->}, whose table has m + 1 entries
-        return _ray_kept(n1, pre)
-    for b in pre.units:
-        if b >= n1:
-            break
-        v = m + b
-        if v in above:
-            for p in pre[v]:
-                if p >= table[p % n1]:
-                    break
-            else:
-                insort(rest, v)
-    c = m + n1
-    if above and above[-1] == c:
-        for p in pre[c]:
-            if p >= table[p % n1]:
-                break
-        else:
-            rest.append(c)
-    return rest
 
 
 def _walk(
@@ -233,8 +231,10 @@ def _walk(
     A frame ``[generators, table, admissible generators, place of the child
     walked]`` is kept for each vertex on the path with an admissible
     generator.  A ray {0, n1, ->} walking its ray child, which has a fresh
-    table, keeps only ``[(n1,), None, None, 0]`` and rebuilds the rest on
-    the way back, so a spine of rays holds O(1) per depth.
+    table, keeps only ``[(n1,), None, None, 0]``, so a spine of rays holds
+    O(1) per depth.  On the way back it lists its admissible generators
+    again, and rebuilds its generators and table only when it has a next
+    child.
 
     ``visit(generators, kept, apery, path)`` is called on each vertex:
     ``kept`` lists its admissible generators and ``path`` the generators
@@ -242,18 +242,17 @@ def _walk(
     depth is ``len(path)``.  ``apery`` and ``path`` are the walk's live
     lists, valid only during the call.  With ``sols``, the last two levels
     are read off each vertex S at depth_limit instead: for each admissible
-    generator m of S, ``_enter`` gives S \\ {m} and ``_inherit`` its leaves
-    v, listed as ``path + (m, v)``, and S's entry is put back.  S \\ {m}
-    counts together with its leaves, after its elder siblings' leaves, so
-    one check finds vertex max_nodes + 1 in preorder, at depth_limit + 1
-    when S \\ {m} itself is past the budget and at depth_limit + 2
-    otherwise.  ``pre`` is the instance's preimage table, shared with the
-    caller.  Raises ResourceLimitError on vertex max_nodes + 1, since a
-    partial enumeration cannot certify a complete answer.
+    generator m of S, ``_enter`` gives the leaves v of S \\ {m}, listed as
+    ``path + (m, v)``, and S's entry is put back.  S \\ {m} counts together
+    with its leaves, after its elder siblings' leaves, so one check finds
+    vertex max_nodes + 1 in preorder, at depth_limit + 1 when S \\ {m}
+    itself is past the budget and at depth_limit + 2 otherwise.  ``pre`` is
+    the instance's preimage table, shared with the caller.  Raises
+    ResourceLimitError on vertex max_nodes + 1, since a partial enumeration
+    cannot certify a complete answer.
     """
     _check_count("depth_limit", depth_limit)
     _check_count("max_nodes", max_nodes)
-    free = pre.free
     # the root is admissible: each image a_i*m + b_i > m >= r + 1 is a member
     gens, ap = ray(inst.r + 1)
     ap = list(ap)
@@ -276,9 +275,7 @@ def _walk(
             base = tuple(path)
             for i, m in enumerate(kept):
                 # entered before it counts, as in the walk, so the table cap trips first
-                _, vs, table = _enter(gens, ap, m)
-                if not free:
-                    vs = _inherit(kept[i + 1:], m, vs, table, pre)
+                vs = _enter(gens, ap, kept, i, pre)[3]
                 if m != n1:
                     ap[m % n1] = m
                 count += 1 + len(vs)
@@ -294,23 +291,23 @@ def _walk(
             m = path[-1]
             if m != n1:
                 ap[m % n1] = m
-            elif ap is None:  # a ray back from its ray child: rebuild what it dropped
-                gens, ap = ray(n1)
-                ap = list(ap)
+            elif ap is None:  # a ray back from its ray child: it dropped its table and list
                 kept = _ray_kept(n1, pre)
-                frame[:3] = gens, ap, kept
+                if i + 1 < len(kept):  # rebuilt only for a next child
+                    gens, ap = ray(n1)
+                    ap = list(ap)
+                    frame[:3] = gens, ap, kept
             i += 1
             if i == len(kept):
                 frames.pop()
                 path.pop()
                 continue
             frame[3] = i
-            m = path[-1] = kept[i]
-            j, above, ap = _enter(gens, ap, m)
+            path[-1] = kept[i]
+            j, above, ap, kept = _enter(gens, ap, kept, i, pre)
             if not j:  # a ray's ray child, with a fresh table: the ray holds only n1
                 frame[:3] = gens[:1], None, None
             gens = gens[:j] + above
-            kept = above if free else _inherit(kept[i + 1:], m, above, ap, pre)
             break
         else:
             return count

@@ -749,16 +749,25 @@ def test_every_child_but_the_last_keeps_an_admissible_generator():
 def test_enter_matches_a_fresh_construction_of_each_child():
     # the child rule against from_generators, on every vertex S of the
     # reference trees and every generator m above its Frobenius number: S's
-    # generators without m, plus m + n1, generate S \ {m}, since any other new
+    # generators without m, plus m + n1, generate S \\ {m}, since any other new
     # generator m + t, t > n1 a member, splits as n1 + (m + t - n1); only
-    # {0, n1, ->} loses n1, leaving the ray {0, n1 + 1, ->}
-    for inst in FACT_TREES:
+    # {0, n1, ->} loses n1, leaving the ray {0, n1 + 1, ->}.  An admissible m
+    # is entered as the walk enters it, with S's admissible generators, and
+    # the child's must be the divide-and-modulo reference's; any other m as
+    # remove_generator enters it, alone and with no constraints
+    unconstrained = Preimages(ProblemInstance())
+    for inst in [*FACT_TREES, *_unit_map_instances(60)]:
+        pre = Preimages(inst)
         for level in bfs_levels(inst, inst.g + 2):
             for _, s in level:
                 gens, n1 = s.min_generators, s.min_generators[0]
+                kept = reference_admissible(s, inst)
                 for m in above_frobenius(s):
                     ap = list(s.apery)
-                    j, above, table = _enter(gens, ap, m)
+                    if m in kept:
+                        j, above, table, admissible = _enter(gens, ap, kept, kept.index(m), pre)
+                    else:
+                        j, above, table, _ = _enter(gens, ap, [m], 0, unconstrained)
                     if m == n1:
                         want = ray(m + 1)
                     else:
@@ -766,9 +775,12 @@ def test_enter_matches_a_fresh_construction_of_each_child():
                         assert table is ap, (inst, s, m)  # moved in place
                     assert (gens[:j] + above, tuple(table)) == want, (inst, s, m)
                     assert above == tuple(above_frobenius(want)), (inst, s, m)
+                    if m in kept:
+                        assert list(admissible) == reference_admissible(want, inst), (inst, s, m)
                     if m != n1:
                         ap[m % n1] = m  # the walk's undo restores S's table
                     assert tuple(ap) == s.apery, (inst, s, m)
+                assert unconstrained == {}, (inst, s)  # never filled
 
 
 def test_children_match_the_defining_conditions():
@@ -878,6 +890,11 @@ class TestPruningEdgeCases:
         assert _ray_kept(4, table) == [4, 5, 6, 7] and table == {}
         assert not Preimages(ProblemInstance(x={9})).free
         assert not Preimages(ProblemInstance(a=(2,), b=(9,))).free
+        # remove_generator enters each child with one module-level
+        # constraint-free table, which no call fills
+        assert remove_generator(from_generators((3, 4, 5)), 4) == from_generators((3, 5, 7))
+        assert remove_generator(ray(4), 4) == ray(5)
+        assert importlib.import_module("abmonoids.tree")._FREE == {}
 
     def test_preimage_equal_to_the_removed_generator(self):
         # removing 3 from <2,3> leaves <2,5>; 5's preimage 5 - 2 = 3 is a
@@ -933,22 +950,36 @@ def test_tree_expansion_goes_through_the_module_names(monkeypatch):
     # remove_generator, and builds a fresh table through the module name
     # ray only for the root, for each removal of the multiplicity, the
     # spine {0, k, ->} with one vertex per depth, and for each ray rebuilt
-    # on the way back from its ray child, which it dropped meanwhile
+    # on the way back from its ray child, which it dropped meanwhile, when
+    # it has a next child
     calls = _count_tree_calls(monkeypatch, ("children", "remove_generator", "ray"))
     inst = ProblemInstance(g=8)
-    # 156 vertices down to genus 8; solve walks to depth 6 and reads the
-    # depth-7 and depth-8 vertices off it, so it meets the spine at depths
-    # 0..7 and rebuilds the 6 rays at depths 0..5: 8 + 6 calls; the other
-    # two walk to depth 8, meet the spine at depths 0..8 and rebuild the 8
-    # rays at depths 0..7: 9 + 8 calls
+    # 156 vertices down to genus 8; the ray {0, k, ->} at depth k - 1 has the
+    # k children k..2k - 1, so the root {0, 1, ->} has one and is not
+    # rebuilt.  solve walks to depth 6 and reads the depth-7 and depth-8
+    # vertices off it, so it meets the spine at depths 0..7 and rebuilds the
+    # 5 rays at depths 1..5: 8 + 5 calls; the other two walk to depth 8,
+    # meet the spine at depths 0..8 and rebuild the 7 rays at depths 1..7:
+    # 9 + 7 calls
     assert solve(inst).node_count == 156
-    assert calls == {"ray": 14}
+    assert calls == {"ray": 13}
     calls.clear()
     assert sum(map(len, enumerate_levels(inst, 8))) == 156
-    assert calls == {"ray": 17}
+    assert calls == {"ray": 16}
     calls.clear()
     assert export_tree(inst, 8).count(";") == 156 + 155
-    assert calls == {"ray": 17}
+    assert calls == {"ray": 16}
+
+
+@pytest.mark.parametrize("g", [10, 1000])
+def test_unit_map_spine_builds_each_ray_once(monkeypatch, g):
+    # a=(1,), b=(1,): the tree is the path of rays {0, k, ->}, each with the
+    # one child {0, k + 1, ->}, so no ray is rebuilt on the way back: the
+    # root, then the ray child of each vertex down to depth g - 2, walked or
+    # read, is g calls
+    calls = _count_tree_calls(monkeypatch, ("ray",))
+    assert solve(ProblemInstance(a=(1,), b=(1,), g=g)).node_count == g + 1
+    assert calls == {"ray": g}
 
 
 def test_solve_answers_genus_zero_without_building_the_root(monkeypatch):
