@@ -3,7 +3,8 @@
 Candidates are checked directly against the defining conditions of the
 problem, with no semigroup machinery, so this module is an independent
 cross-check for the tree-based solver: it shares no code or type with the
-tree engine and returns plain tuples.  It is intentionally naive.
+tree engine and returns plain tuples.  The sum condition is tested with
+bit operations on two integers, and still uses nothing of the tree engine.
 """
 
 from __future__ import annotations
@@ -27,13 +28,11 @@ def check_conditions(candidate, inst: ProblemInstance) -> bool:
         integer >= r + 1 then it lies in C too;
       * C avoids the forbidden set x.
     """
-    elems = sorted(set(candidate))
+    cset = set(candidate)
+    elems = sorted(cset)
     lo = inst.r + 1
-    if len(elems) != inst.g:
+    if len(elems) != inst.g or (elems and elems[0] < lo):
         return False
-    if elems and elems[0] < lo:
-        return False
-    cset = set(elems)
     if cset & inst.x:
         return False
     if elems and not _sum_condition_holds(cset, lo, elems[-1]):
@@ -47,22 +46,28 @@ def check_conditions(candidate, inst: ProblemInstance) -> bool:
 
 
 def _sum_condition_holds(cset: set[int], lo: int, top: int) -> bool:
-    """Do no x <= y, both >= lo and outside ``cset``, sum into ``cset``?
+    """Do no x, y >= lo outside ``cset`` sum into ``cset``?
 
-    ``top`` is max(cset), so a violating pair has x + y <= top, and with
-    x <= y that gives x <= top // 2 and x <= y <= top - x.  Pairs whose x
-    lies in ``cset`` never violate, so each such x is skipped before its
-    inner loop.  The pairs left are tested in ascending (x, y) order.
-    Cost: one membership test per x in [lo, top // 2], plus at most
-    top - 2x + 1 tests for each of the k values x there outside
-    ``cset``, so O(top + k * top) in all.
+    ``top`` is max(cset).  Two integers hold the sets: ``inside`` has bit
+    v set for each v in C, and ``outside`` has bit y set for each y in
+    [lo, top] not in C.  For x outside C, bit y of ``inside >> x`` is bit
+    x + y of ``inside``, so ``(inside >> x) & outside`` is non-zero
+    exactly when some y >= lo outside C has x + y in C; it is the test
+    ``(outside << x) & inside`` on a shorter integer.  A violating pair
+    has x + y <= top, so min(x, y) <= top // 2, and only x up to
+    top // 2 need a test.  A hit with y < x is the same pair swapped, so
+    every hit is a violation.  Cost: the two integers are built in time
+    linear in top, then one shift-and-AND of top-bit integers per value
+    outside C in [lo, top // 2].
     """
+    bits = bytearray(b"0") * (top + 1)
+    for v in cset:
+        bits[top - v] = 49  # ord("1"); int(bits, 2) reads bit v at index top - v
+    inside = int(bits, 2)
+    outside = ((2 << top) - (1 << lo)) & ~inside
     for x in range(lo, top // 2 + 1):
-        if x in cset:
-            continue
-        for y in range(x, top - x + 1):
-            if y not in cset and (x + y) in cset:
-                return False
+        if x not in cset and (inside >> x) & outside:
+            return False
     return True
 
 

@@ -199,12 +199,16 @@ class TestOneSolution:
             one_solution(ProblemInstance(x={10007, 10009}, g=50_070_025))
 
     def test_large_size_self_check_is_cheap(self):
-        # the self-check's sum condition skips every x in the answer, so a
-        # dense answer costs about one pass over it, not a pass per pair
+        # the self-check's sum condition makes one shift-and-AND of
+        # top-bit integers per value outside the answer up to top / 2, so a
+        # dense answer costs about one pass over it and a sparse one (every
+        # other value, top 31993) about 8000 such steps, not a pass per pair
         start = time.perf_counter()
         assert one_solution(ProblemInstance(g=20000)) == tuple(range(1, 20001))
         sol = one_solution(ProblemInstance(a=(2,), b=(1,), x={71, 73}, g=900))
         assert (len(sol), sol[-1]) == (900, 1631)
+        sol = one_solution(ProblemInstance(a=(2, 3), b=(4, 2), x={6, 8}, g=16000))
+        assert (len(sol), sol[-1]) == (16000, 31993)
         assert time.perf_counter() - start < 5
 
     @pytest.mark.skipif(not __debug__, reason="the self-check runs only when assertions are on")

@@ -6,7 +6,13 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from abmonoids import ProblemInstance, ResourceLimitError, check_conditions, oracle_solve
+from abmonoids import (
+    ProblemInstance,
+    ResourceLimitError,
+    check_conditions,
+    one_solution,
+    oracle_solve,
+)
 from abmonoids.oracle import _sum_condition_holds
 
 from conftest import instance_corpus, reference_sum_condition, saturated_members
@@ -96,19 +102,20 @@ def test_sum_condition_is_complement_closure(cand, r):
 
 @st.composite
 def sum_condition_sets(draw):
-    """A floor r in 0..5 and a set of values in r+1..60, of up to 40 values:
-    either any such set, or one shaped like ``one_solution``'s answers, the
-    first values above r outside a monoid, maybe with one more value put
-    in, which often breaks the condition."""
+    """A floor r in 0..5 and a set of values in r+1..100, of up to 40
+    values, so the bit masks span up to four 30-bit digits: either any such
+    set, or one shaped like ``one_solution``'s answers, the first values
+    above r outside a monoid, maybe with one more value put in, which often
+    breaks the condition."""
     r = draw(st.integers(0, 5))
     if draw(st.booleans()):
-        return frozenset(draw(st.sets(st.integers(r + 1, 60), min_size=1, max_size=40))), r
-    gens = draw(st.sets(st.integers(r + 2, 60), min_size=1, max_size=4))
-    members = saturated_members(gens, 60)
-    outside = [v for v in range(r + 1, 61) if v not in members]
+        return frozenset(draw(st.sets(st.integers(r + 1, 100), min_size=1, max_size=40))), r
+    gens = draw(st.sets(st.integers(r + 2, 100), min_size=1, max_size=4))
+    members = saturated_members(gens, 100)
+    outside = [v for v in range(r + 1, 101) if v not in members]
     cand = set(outside[: draw(st.integers(1, 40))])
     if draw(st.booleans()):
-        cand.add(draw(st.integers(r + 1, 60)))
+        cand.add(draw(st.integers(r + 1, 100)))
     return frozenset(cand), r
 
 
@@ -127,6 +134,18 @@ def test_sum_condition_matches_the_all_pairs_loop(case):
     cand, r = case
     top = max(cand)
     assert _sum_condition_holds(set(cand), r + 1, top) == reference_sum_condition(set(cand), r + 1, top)
+
+
+@pytest.mark.parametrize("s", [69, 71, 73])
+def test_sum_condition_on_wide_answers(s):
+    # one_solution's answers of g = 500 values (top 577-601, about twenty
+    # 30-bit digits) hold, and so do they with top + 1 put in; with 2s put
+    # in they break, as s lies outside and s + s = 2s inside
+    sol = set(one_solution(ProblemInstance(a=(2,), b=(1,), x={s, s + 2}, g=500)))
+    top = max(sol)
+    for cand, holds in ((sol, True), (sol | {top + 1}, True), (sol | {2 * s}, False)):
+        assert _sum_condition_holds(cand, 1, max(cand)) is holds
+        assert reference_sum_condition(cand, 1, max(cand)) is holds
 
 
 @pytest.mark.parametrize("case", FAILING)
