@@ -31,7 +31,9 @@ def check_conditions(candidate, inst: ProblemInstance) -> bool:
     cset = set(candidate)
     elems = sorted(cset)
     lo = inst.r + 1
-    if len(elems) != inst.g or (elems and elems[0] < lo):
+    if len(elems) != inst.g:
+        return False
+    if elems and elems[0] < lo:
         return False
     if cset & inst.x:
         return False
@@ -48,23 +50,26 @@ def check_conditions(candidate, inst: ProblemInstance) -> bool:
 def _sum_condition_holds(cset: set[int], lo: int, top: int) -> bool:
     """Do no x, y >= lo outside ``cset`` sum into ``cset``?
 
-    ``top`` is max(cset).  Two integers hold the sets: ``inside`` has bit
-    v set for each v in C, and ``outside`` has bit y set for each y in
-    [lo, top] not in C.  For x outside C, bit y of ``inside >> x`` is bit
-    x + y of ``inside``, so ``(inside >> x) & outside`` is non-zero
-    exactly when some y >= lo outside C has x + y in C; it is the test
+    Every value of ``cset`` lies in [lo, top], and ``top`` is max(cset).
+    Two integers hold the sets, offset by lo: bit j of ``inside`` is set
+    when lo + j lies in C, and bit j of ``outside`` when lo + j lies in
+    [lo, top] but not in C.  For x outside C, bit j of ``inside >> x`` is
+    [lo + j + x in C], so ``(inside >> x) & outside`` is non-zero exactly
+    when some y >= lo outside C has x + y in C; it is the test
     ``(outside << x) & inside`` on a shorter integer.  A violating pair
     has x + y <= top, so min(x, y) <= top // 2, and only x up to
     top // 2 need a test.  A hit with y < x is the same pair swapped, so
     every hit is a violation.  Cost: the two integers are built in time
-    linear in top, then one shift-and-AND of top-bit integers per value
-    outside C in [lo, top // 2].
+    linear in top - lo, then one shift-and-AND of integers of up to
+    top - lo bits per value outside C in [lo, top // 2].  With k such
+    values that is O(k * (top - lo) / 30) digit operations, so a sparse
+    answer, with k near top / 4, still costs time quadratic in top.
     """
-    bits = bytearray(b"0") * (top + 1)
+    bits = bytearray(b"0") * (top - lo + 1)
     for v in cset:
-        bits[top - v] = 49  # ord("1"); int(bits, 2) reads bit v at index top - v
+        bits[top - v] = 49  # ord("1"); int(bits, 2) reads bit v - lo at index top - v
     inside = int(bits, 2)
-    outside = ((2 << top) - (1 << lo)) & ~inside
+    outside = ((2 << (top - lo)) - 1) & ~inside
     for x in range(lo, top // 2 + 1):
         if x not in cset and (inside >> x) & outside:
             return False

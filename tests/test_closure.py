@@ -200,15 +200,19 @@ class TestOneSolution:
 
     def test_large_size_self_check_is_cheap(self):
         # the self-check's sum condition makes one shift-and-AND of
-        # top-bit integers per value outside the answer up to top / 2, so a
-        # dense answer costs about one pass over it and a sparse one (every
-        # other value, top 31993) about 8000 such steps, not a pass per pair
+        # integers of up to top - r bits per value outside the answer up to
+        # top / 2, so a dense answer costs about one pass over it and a
+        # sparse one (every other value, top 31993) about 8000 such steps,
+        # not a pass per pair; the steps still make the sparse one quadratic
         start = time.perf_counter()
         assert one_solution(ProblemInstance(g=20000)) == tuple(range(1, 20001))
         sol = one_solution(ProblemInstance(a=(2,), b=(1,), x={71, 73}, g=900))
         assert (len(sol), sol[-1]) == (900, 1631)
         sol = one_solution(ProblemInstance(a=(2, 3), b=(4, 2), x={6, 8}, g=16000))
         assert (len(sol), sol[-1]) == (16000, 31993)
+        # the bit masks start at r + 1, so an answer far up costs what one
+        # near 1 does, not memory linear in r
+        assert one_solution(ProblemInstance(g=2, r=10**12)) == (10**12 + 1, 10**12 + 2)
         assert time.perf_counter() - start < 5
 
     @pytest.mark.skipif(not __debug__, reason="the self-check runs only when assertions are on")
