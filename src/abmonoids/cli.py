@@ -1,18 +1,6 @@
-"""Command-line front end.
-
-Commands
-  closure       print the smallest (a, b)-closed monoid containing X
-  feasible      decide whether a size-g solution exists (exit 1 if not)
-  one           print one solution (exit 1 if infeasible)
-  solve         print every solution, one per line, lexicographic
-  oracle-solve  the same listing from the brute-force engine
-  tree          write the admissible-semigroup tree as DOT
-
-Exit codes: 0 success, 1 infeasible/no, 2 usage error or unwritable
---out path, 3 resource limit or 64-bit overflow.  Solution listings go to
-stdout; the summary line goes to stderr so stdout stays diffable:
-``# solutions=N nodes=M`` for ``solve``, ``# solutions=N`` for
-``oracle-solve``.
+"""Command-line front end: ``_COMMANDS`` declares each command once, and
+README's "Command line" section states the output grammar, the stderr
+summary and the exit codes that ``_emit`` and ``run`` produce.
 """
 
 from __future__ import annotations

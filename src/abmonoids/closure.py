@@ -1,22 +1,13 @@
 """Smallest (a, b)-closed monoids and the feasibility layer.
 
-Throughout, ``a = (a_1, ..., a_n)`` and ``b = (b_1, ..., b_n)`` are equal
-length tuples of positive integers.  A submonoid M of the non-negative
-integers under addition is an *(a, b)-monoid* when ``a_i * m + b_i`` lies
-in M for every nonzero m in M and every coordinate i.  It suffices to
-check the condition on a generating set: the affine images of a sum
-``m = s + t`` split as ``a_i * s + (a_i * t + b_i)``, which is a member
-whenever the generator images are.
-
-``closure`` computes the smallest (a, b)-monoid containing a finite seed
-set ``x``.  Letting ``d = gcd(x + b)``, the result is ``d`` times the
-closure of the divided data, a genuine numerical semigroup, which the
-ascending worklist of ``semigroup._worklist_closure`` builds (its
-minimality and termination proof is there).  ``SubmonoidRep`` stores
-exactly this scaled form.
-
-``instance_closure`` returns ``None`` for an empty seed, which closes to
-{0}; ``feasible`` and ``one_solution`` read their answers off that object.
+A submonoid M of the non-negative integers under addition is an
+*(a, b)-monoid* when ``a_i * m + b_i`` lies in M for every nonzero m in M
+and every coordinate i.  ``closure`` returns the smallest one holding a
+seed set in the scaled form ``SubmonoidRep``, built by the ascending
+worklist of ``semigroup._worklist_closure`` (its minimality and
+termination proof is there).  ``instance_closure`` returns ``None`` for an
+empty seed, which closes to {0}; ``feasible`` and ``one_solution`` read
+their answers off that object.
 """
 
 from __future__ import annotations
@@ -145,10 +136,9 @@ def one_solution(inst: ProblemInstance) -> tuple[int, ...]:
     """A single solution: the g smallest integers >= r + 1 outside the closure.
 
     Feasibility is the gap count above r, read off the closure's Apéry table
-    by Selmer's formula (see ``NumericalSemigroup.gap_count_above``).  Each
-    candidate v is then tested against the table inline: v is outside d * S
-    when d does not divide v or v // d lies below its residue's Apéry
-    element.  A feasible ``g`` above ``DEFAULT_MAX_GENERATORS`` raises
+    (see ``NumericalSemigroup.gap_count_above``).  Each candidate v is then
+    tested against the table inline: v is outside d * S when d does not
+    divide v or v // d lies below its residue's Apéry element.  A feasible ``g`` above ``DEFAULT_MAX_GENERATORS`` raises
     ResourceLimitError.
     """
     monoid = instance_closure(inst)

@@ -3,8 +3,7 @@
 Candidates are checked directly against the defining conditions of the
 problem, with no semigroup machinery, so this module is an independent
 cross-check for the tree-based solver: it shares no code or type with the
-tree engine and returns plain tuples.  The sum condition is tested with
-bit operations on two integers, and still uses nothing of the tree engine.
+tree engine and returns plain tuples.
 """
 
 from __future__ import annotations

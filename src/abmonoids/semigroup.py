@@ -1,34 +1,12 @@
 """Numerical semigroups as canonical immutable values.
 
-A numerical semigroup is a subset of the non-negative integers that
-contains 0, is closed under addition, and misses only finitely many
-integers (its *gaps*).  A value is a named tuple of two fields:
-
-* ``min_generators``, the unique minimal generating set, ascending; its
-  first entry is the multiplicity m, the smallest nonzero member;
-* ``apery``, the Apéry set with respect to m: ``apery[i]`` is the
-  smallest member congruent to ``i`` modulo m, so ``x`` is a member
-  exactly when ``x >= apery[x % m]``.
-
-The Frobenius number (the largest gap, ``max(apery) - m``, or -1 when
-there is none), the genus (the number of gaps) and the gap list are read
-off the Apéry set on request: the genus in one sum by Selmer's formula
-(Selmer 1977), and the count of gaps above a floor r with one more step
-for each residue up to r.  Values compare and hash as tuples, field by
-field; the Apéry set of every value the package builds follows from the
-minimal generators, so two such values are equal exactly when their
-minimal generating sets are.  ``x in s`` is semigroup membership, not a
-search of the fields, and the fields cannot be reassigned.
-
-Every value this module builds but a ray {0, m, ->}, which ``ray``
-writes down, comes from one ascending worklist, ``_worklist_closure``:
-the smallest (a, b)-monoid holding a seed set, closed under the maps
-m -> a_i * m + b_i; ``from_generators`` is that pass with no maps.  It
-adjoins only candidates not yet members, exactly the minimal generators,
-each by the round-robin pass of Böcker and Lipták (2007), see
-``add_generator``, so the Frobenius number never needs a bound.  Affine
-images are checked against the signed 64-bit range.  ``tree.py`` builds
-each tree vertex from its parent.
+``NumericalSemigroup`` is the one representation: README's Python API
+states its fields and its equality, and each property says how it reads
+the Apéry set.  Every value this module builds but a ray {0, m, ->},
+which ``ray`` writes down, comes from the ascending worklist
+``_worklist_closure``, whose docstring proves that it adjoins exactly the
+minimal generators; ``from_generators`` is that pass with no maps.
+``tree.py`` builds each tree vertex from its parent.
 """
 
 from __future__ import annotations
@@ -40,8 +18,7 @@ from typing import Iterable, NamedTuple
 from .errors import Int64OverflowError, ResourceLimitError
 
 # Hard ceiling on the length of an Apéry table, which is the multiplicity, so
-# construction fails loudly instead of allocating unbounded memory.  At the cap
-# (CPython 3.11, x86-64) from_generators({2**20 - 1, 2**20}) peaks at 79 MB RSS.
+# construction fails loudly instead of allocating unbounded memory.
 MAX_TABLE_SIZE = 1 << 20
 
 INT64_MAX = (1 << 63) - 1
@@ -57,7 +34,9 @@ class NumericalSemigroup(NamedTuple):
     apery: tuple[int, ...]
 
     def __contains__(self, x: int) -> bool:
-        """Membership test; negative integers are never members."""
+        """Membership: ``apery[i]`` is the smallest member congruent to i modulo
+        the multiplicity m, so x is a member exactly when x >= apery[x % m];
+        negative integers never are."""
         ap = self.apery
         return x >= ap[x % len(ap)]  # x % m >= 0 and ap >= 0, so x < 0 fails
 
@@ -140,6 +119,11 @@ def _worklist_closure(a, b, seed) -> NumericalSemigroup:
     """Smallest (a, b)-monoid C holding the positive ``seed``, which must
     have gcd(seed + b) == 1 (so C is a numerical semigroup).
 
+    It suffices to check the condition on a generating set: the affine
+    images of a sum ``m = s + t`` split as ``a_i * s + (a_i * t + b_i)``,
+    which is a member whenever the generator images are.  So only the
+    values adjoined are mapped.
+
     One Apéry table modulo n1, the smallest seed value and the multiplicity
     of C, tracks the monoid generated so far.  Candidates leave a min-heap
     ascending, and one is adjoined only when not yet a member, so the values
@@ -147,7 +131,7 @@ def _worklist_closure(a, b, seed) -> NumericalSemigroup:
 
     * a minimal generator n of C is a seed value or the image of a smaller
       one, else C \\ {n} would be a smaller (a, b)-monoid holding the seed
-      (the image of a sum s + t splits as a_i*s + (a_i*t + b_i));
+      (the images of a sum split as above);
     * values pushed exceed the one popped, so when c is popped every
       minimal generator below c has been adjoined and the table holds C
       below c: c is a member exactly when it is not a minimal generator.
