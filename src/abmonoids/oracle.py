@@ -1,9 +1,10 @@
-"""Brute-force reference solver used as ground truth in tests.
+"""The brute-force engine and the condition checker behind it.
 
-Candidates are checked directly against the defining conditions of the
-problem, with no semigroup machinery, so this module is an independent
-cross-check for the tree-based solver: it shares no code or type with the
-tree engine and returns plain tuples.
+``check_conditions`` tests a candidate against the four conditions
+directly, in one pass over the values outside it, and ``oracle_solve``
+runs it on every candidate of a finite space.  The module shares no code
+or type with the tree engine and returns plain tuples, so it is an
+independent cross-check of the tree solver and of ``one_solution``.
 """
 
 from __future__ import annotations
@@ -19,59 +20,44 @@ DEFAULT_SCALE_BOUND = 9
 def check_conditions(candidate, inst: ProblemInstance) -> bool:
     """Is ``candidate`` a solution of the instance?
 
-    Checks, for C = candidate and floor r:
-      * C has exactly g elements, all >= r + 1;
-      * no two values x, y >= r + 1 outside C sum to a value in C
-        (equivalently, whenever x + y lands in C, C meets {x, y});
-      * for every c in C and coordinate i, if (c - b_i) / a_i is an
-        integer >= r + 1 then it lies in C too;
-      * C avoids the forbidden set x.
+    With C = candidate, lo = r + 1 and top = max(C): C has g values, all
+    >= lo and none in X, and no x >= lo outside C reaches C, neither as
+    x + y with y >= lo outside C (condition 2) nor as a_i * x + b_i
+    (condition 3, every integer preimage >= lo of a value of C lies in
+    C).  A reach exceeds x and lands at or below top, so only x in
+    [lo, top) need a test; a violating sum with x <= y has x <= top // 2,
+    and a hit with y < x is the same pair swapped.  Bit j of ``inside``
+    is [lo + j in C] and of ``outside`` [lo + j in [lo, top] \\ C], so
+    ``(inside >> x) & outside`` is non-zero exactly when some y >= lo
+    outside C has x + y in C.  Cost: the masks in time linear in top - lo,
+    then per x outside C one lookup per map and, up to top // 2, one
+    shift-and-AND of integers of up to top - lo bits, so a sparse answer,
+    with about top / 4 such x, costs time quadratic in top.
     """
     cset = set(candidate)
-    elems = sorted(cset)
     lo = inst.r + 1
-    if len(elems) != inst.g:
+    if len(cset) != inst.g or cset & inst.x:
         return False
-    if elems and elems[0] < lo:
+    if not cset:
+        return True
+    top = max(cset)
+    if min(cset) < lo:
         return False
-    if cset & inst.x:
-        return False
-    if elems and not _sum_condition_holds(cset, lo, elems[-1]):
-        return False
-    for c in elems:
-        for ai, bi in zip(inst.a, inst.b):
-            q = c - bi
-            if q >= lo * ai and q % ai == 0 and (q // ai) not in cset:
-                return False
-    return True
-
-
-def _sum_condition_holds(cset: set[int], lo: int, top: int) -> bool:
-    """Do no x, y >= lo outside ``cset`` sum into ``cset``?
-
-    Every value of ``cset`` lies in [lo, top], and ``top`` is max(cset).
-    Two integers hold the sets, offset by lo: bit j of ``inside`` is set
-    when lo + j lies in C, and bit j of ``outside`` when lo + j lies in
-    [lo, top] but not in C.  For x outside C, bit j of ``inside >> x`` is
-    [lo + j + x in C], so ``(inside >> x) & outside`` is non-zero exactly
-    when some y >= lo outside C has x + y in C; it is the test
-    ``(outside << x) & inside`` on a shorter integer.  A violating pair
-    has x + y <= top, so min(x, y) <= top // 2, and only x up to
-    top // 2 need a test.  A hit with y < x is the same pair swapped, so
-    every hit is a violation.  Cost: the two integers are built in time
-    linear in top - lo, then one shift-and-AND of integers of up to
-    top - lo bits per value outside C in [lo, top // 2].  With k such
-    values that is O(k * (top - lo) / 30) digit operations, so a sparse
-    answer, with k near top / 4, still costs time quadratic in top.
-    """
     bits = bytearray(b"0") * (top - lo + 1)
     for v in cset:
         bits[top - v] = 49  # ord("1"); int(bits, 2) reads bit v - lo at index top - v
     inside = int(bits, 2)
     outside = ((2 << (top - lo)) - 1) & ~inside
-    for x in range(lo, top // 2 + 1):
-        if x not in cset and (inside >> x) & outside:
+    half = top // 2
+    maps = tuple(zip(inst.a, inst.b))
+    for x in range(lo, top):
+        if x in cset:
+            continue
+        if x <= half and (inside >> x) & outside:
             return False
+        for a, b in maps:
+            if a * x + b in cset:
+                return False
     return True
 
 

@@ -213,6 +213,17 @@ def reference_sum_condition(cset: set[int], lo: int, top: int) -> bool:
     return True
 
 
+def reference_preimage_condition(cset: set[int], inst: ProblemInstance) -> bool:
+    """The paper's condition 3 on C = ``cset``, by divide and modulo on each
+    value and map: every integer (c - b_i) / a_i >= r + 1 lies in C."""
+    for c in cset:
+        for ai, bi in zip(inst.a, inst.b):
+            q, rem = divmod(c - bi, ai)
+            if not rem and q >= inst.r + 1 and q not in cset:
+                return False
+    return True
+
+
 @functools.cache
 def bfs_levels(inst: ProblemInstance, depth: int) -> tuple:
     """Reference breadth-first levels 0..depth of the tree as (parent, vertex)

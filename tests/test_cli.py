@@ -82,6 +82,7 @@ class TestParse:
             (["solve", "--g", "2", "--max-nodes", "0"],
              "abmonoids solve: error: --max-nodes must be positive\n"),
             (["tree", "--depth", "-1"], "abmonoids tree: error: --depth must be non-negative\n"),
+            (["solve", "--g", "1", "--r", "-1"], "abmonoids solve: error: r must be non-negative\n"),
         ],
     )
     def test_checks_after_argparse_report_the_subcommand_usage(self, argv, message, capsys):

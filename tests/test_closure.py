@@ -199,9 +199,9 @@ class TestOneSolution:
             one_solution(ProblemInstance(x={10007, 10009}, g=50_070_025))
 
     def test_large_size_self_check_is_cheap(self):
-        # the self-check's sum condition makes one shift-and-AND of
-        # integers of up to top - r bits per value outside the answer up to
-        # top / 2, so a dense answer costs about one pass over it and a
+        # the self-check makes one pass over the values outside the answer,
+        # with one shift-and-AND of integers of up to top - r bits for each
+        # up to top / 2, so a dense answer costs about one pass over it and a
         # sparse one (every other value, top 31993) about 8000 such steps,
         # not a pass per pair; the steps still make the sparse one quadratic
         start = time.perf_counter()
@@ -258,6 +258,8 @@ class TestProblemInstance:
     def test_negative_g(self):
         with pytest.raises(ValueError, match="g must be non-negative"):
             ProblemInstance(a=(1,), b=(1,), x={5}, g=-1)
+        with pytest.raises(ValueError, match="r must be non-negative"):
+            ProblemInstance(a=(1,), b=(1,), x={5}, g=6, r=-1)
 
     def test_normalization(self):
         inst = ProblemInstance(a=[1, 2], b=[4, 1], x=[5], g=6)

@@ -7,15 +7,20 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from abmonoids import (
+    InfeasibleError,
     ProblemInstance,
     ResourceLimitError,
     check_conditions,
     one_solution,
     oracle_solve,
 )
-from abmonoids.oracle import _sum_condition_holds
 
-from conftest import instance_corpus, reference_sum_condition, saturated_members
+from conftest import (
+    instance_corpus,
+    reference_preimage_condition,
+    reference_sum_condition,
+    saturated_members,
+)
 
 WORKED = ProblemInstance(a=(1, 2), b=(4, 1), x={5}, g=6, r=0)
 
@@ -84,6 +89,12 @@ class TestOracleSolve:
         oracle_solve(inst)
 
 
+def sum_condition(cand, r: int) -> bool:
+    """``check_conditions`` on an instance with no maps, no X and g = |C|,
+    so only the sum condition can fail on a set above the floor r."""
+    return check_conditions(cand, ProblemInstance(g=len(cand), r=r))
+
+
 candidate_sets = st.sets(st.integers(1, 14), min_size=1, max_size=5)
 
 
@@ -92,7 +103,7 @@ candidate_sets = st.sets(st.integers(1, 14), min_size=1, max_size=5)
 def test_sum_condition_is_complement_closure(cand, r):
     cand = {v + r for v in cand}  # keep candidates above the floor
     top = max(cand)
-    holds = _sum_condition_holds(cand, r + 1, top)
+    holds = sum_condition(cand, r)
     # independent statement: the nonzero complement values above the floor
     # never sum into the candidate set
     complement = [v for v in range(r + 1, top + 1) if v not in cand]
@@ -133,7 +144,7 @@ FAILING = [
 def test_sum_condition_matches_the_all_pairs_loop(case):
     cand, r = case
     top = max(cand)
-    assert _sum_condition_holds(set(cand), r + 1, top) == reference_sum_condition(set(cand), r + 1, top)
+    assert sum_condition(cand, r) == reference_sum_condition(set(cand), r + 1, top)
 
 
 @pytest.mark.parametrize("s", [69, 71, 73])
@@ -144,7 +155,7 @@ def test_sum_condition_on_wide_answers(s):
     sol = set(one_solution(ProblemInstance(a=(2,), b=(1,), x={s, s + 2}, g=500)))
     top = max(sol)
     for cand, holds in ((sol, True), (sol | {top + 1}, True), (sol | {2 * s}, False)):
-        assert _sum_condition_holds(cand, 1, max(cand)) is holds
+        assert sum_condition(cand, 0) is holds
         assert reference_sum_condition(cand, 1, max(cand)) is holds
 
 
@@ -152,7 +163,53 @@ def test_sum_condition_on_wide_answers(s):
 def test_sum_condition_fails_on_both_loops(case):
     cand, r = case
     assert not reference_sum_condition(set(cand), r + 1, max(cand))
-    assert not _sum_condition_holds(set(cand), r + 1, max(cand))
+    assert not sum_condition(cand, r)
+
+
+@st.composite
+def condition_cases(draw):
+    """An instance with up to three maps (a_i in 1..4, so a_i = 1 too), a
+    floor in 0..5 and up to two seeds, and a candidate list: either any
+    values in 0..60, below the floor and seeds included, or the
+    ``one_solution`` answer of the instance or of the instance with no
+    maps, which often breaks condition 3 alone (the first values above r
+    when it is infeasible).  Once in four, each of these happens: one
+    more value put in the answer, the list's first value repeated, and g
+    one more than the list's length."""
+    rarely = st.sampled_from((False, False, False, True))
+    r = draw(st.integers(0, 5))
+    maps = draw(st.lists(st.tuples(st.integers(1, 4), st.integers(1, 8)), max_size=3))
+    a, b = tuple(m[0] for m in maps), tuple(m[1] for m in maps)
+    x = draw(st.sets(st.integers(r + 1, 20), max_size=2))
+    if draw(st.booleans()):
+        cand = sorted(draw(st.sets(st.integers(0, 60), max_size=30)))
+    else:
+        g, kept = draw(st.integers(1, 30)), draw(st.booleans())
+        try:
+            cand = list(one_solution(ProblemInstance(a=a * kept, b=b * kept, x=x, g=g, r=r)))
+        except InfeasibleError:
+            cand = list(range(r + 1, r + 1 + g))
+        if draw(rarely):
+            cand.append(draw(st.integers(r + 1, 70)))
+    if cand and draw(rarely):
+        cand.append(cand[0])
+    g = len(cand) + draw(rarely)
+    return cand, ProblemInstance(a=a, b=b, x=x, g=g, r=r)
+
+
+@given(condition_cases())
+@settings(max_examples=400, deadline=None)
+def test_check_conditions_matches_the_references(case):
+    cand, inst = case
+    cset, lo = set(cand), inst.r + 1
+    want = (
+        len(cset) == inst.g
+        and all(v >= lo for v in cset)
+        and not cset & inst.x
+        and (not cset or reference_sum_condition(cset, lo, max(cset)))
+        and reference_preimage_condition(cset, inst)
+    )
+    assert check_conditions(cand, inst) == want
 
 
 def test_universe_bound_loses_nothing():

@@ -1,6 +1,7 @@
 """README's Python API example runs, each ``# value`` comment is its line's
 value, each ``$ abmonoids`` example of its "Command line" block prints what
-the block shows, and README names every top-level name of the package."""
+the block shows, so does each command whose answer Limits quotes, and
+README names every top-level name of the package."""
 
 import re
 import shlex
@@ -53,6 +54,22 @@ def test_cli_block_values(argv, out, err, code, capsys):
     captured = capsys.readouterr()
     assert captured.out.splitlines() == out
     assert captured.err.splitlines() == err
+
+
+LIMITS_ANSWERS = [
+    ("closure --X 5,6,4000000", "d=1 M=<5,6>"),
+    ("closure --a 2 --b 1 --X 5,6,4611686018427387904", "d=1 M=<5,6,13>"),
+    ("feasible --X 10007,10009 --g 1", "yes 50070024"),
+]
+
+
+@pytest.mark.parametrize("command, answer", LIMITS_ANSWERS)
+def test_limits_answers(command, answer, capsys):
+    # whitespace normalised, since a quoted command may wrap a line
+    limits = " ".join(README.read_text().partition("## Limits\n")[2].split())
+    assert f"`{command}` answers `{answer}`" in limits
+    assert cli.run(cli.parse_args(command.split())) == 0
+    assert capsys.readouterr().out == answer + "\n"
 
 
 def test_python_block_values(capsys):

@@ -43,6 +43,8 @@ def test_replace_normalises_and_validates():
     assert seeded == ProblemInstance(a=(1, 2), b=(4, 1), x={1}, g=6)
     with pytest.raises(ValueError, match="g must be non-negative"):
         inst._replace(g=-1)
+    with pytest.raises(ValueError, match="r must be non-negative"):
+        inst._replace(r=-1)
     with pytest.raises(ValueError, match="^g must hold only integers$"):
         inst._replace(g=2.5)
     with pytest.raises(ValueError, match=r"x must be a subset of \{4, 5, \.\.\.\}"):
